@@ -31,6 +31,7 @@ from .enumeration import (
     all_lehmer,
     bell,
     catalan,
+    iter_outcome_words,
     outcome_set,
     outcome_words,
     theorem_ids,

@@ -7,7 +7,7 @@ one value per line from stdin, so verbs compose in pipelines:
 
 Exit codes: 0 on success, 1 on a domain error (a JSON object describing it is
 printed to stderr), 2 when a verification run finds a discrepancy.  Output is
-deterministic; LEHMER_THREADS caps worker processes for the heavy enumerations.
+deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .enumeration import (
     catalan,
     default_n_max,
     describe_theorem,
-    outcome_words,
+    iter_outcome_words,
     theorem_ids,
     verify,
 )
@@ -216,7 +216,7 @@ def _cmd_enumerate(args) -> int:
         for a in all_lehmer(n):
             _emit(a.to_json_obj())
     elif args.kind == "outcomes":
-        for w in sorted(outcome_words(n)):
+        for w in sorted(iter_outcome_words(n)):
             _emit({"outcome": list(w)})
     elif args.kind == "partitions":
         for b in enumerate_partitions(n):
@@ -236,7 +236,7 @@ def _cmd_count(args) -> int:
     elif args.kind == "catalan":
         print(catalan(args.n))
     else:
-        print(len(outcome_words(args.n)))
+        print(sum(1 for _ in iter_outcome_words(args.n)))
     return 0
 
 
@@ -368,3 +368,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,10 +1,14 @@
 """Exhaustive generators, counting oracles, and the named-check harness.
 
-`outcome_set(n)` parks every one of the n! staircase preference tuples and
-deduplicates the outcomes.  The simulation is shared-prefix: tuples are walked
-in a tree, car by car, so a completed leaf is exactly one parked tuple but the
-common prefixes are parked once.  Set LEHMER_THREADS above 1 to split the walk
-across processes by the first car's preference.
+`iter_outcome_words(n)` yields the outcomes of the n! staircase preference
+tuples without parking the tuples one by one.  It walks the cars depth first
+and parks car k once per distinct landing spot: every preference that lands
+where the previous one did is skipped.  Cars never move once parked, so the
+street after car k fixes the street before it; children of different streets
+differ, and children of one street differ in car k's spot.  Each of the
+Bell(n) outcomes is therefore reached exactly once, with no global set, and
+the work is the sum of the Bell-sized levels rather than n!.
+`outcome_words` and `outcome_set` collect it into sets.
 
 `bell` and `catalan` are standalone recurrences (Bell triangle, Catalan
 convolution) so the counting checks do not share code with the structures they
@@ -15,7 +19,6 @@ n from 0 to n_max and reports counterexamples verbatim.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ from .setpartition import SetPartition, enumerate_partitions, from_gbsp, min_max
 
 __all__ = [
     "all_lehmer",
+    "iter_outcome_words",
     "outcome_words",
     "outcome_set",
     "bell",
@@ -56,78 +60,55 @@ def all_lehmer(n: int) -> Iterator[PrefTuple]:
         yield PrefTuple(prefs)
 
 
-def _drive_all(n: int, first: int | None = None) -> set[tuple[int, ...]]:
-    # Walk the preference tree depth-first, keeping the street state in place.
-    # Each leaf is the parked outcome of exactly one staircase tuple.
-    words: set[tuple[int, ...]] = set()
-    add = words.add
-    spots = [0] * (n + 1)
+def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield each outcome word of the n! staircase tuples exactly once.
 
-    def drive(car: int) -> None:
-        last = car == n
-        nxt = car + 1
-        for pref in range(1, n - car + 2):
-            s = pref
-            while s <= n and spots[s]:
-                s += 1
-            if s > n:  # cannot happen for staircase prefs; keep the walk honest
-                raise RuntimeError(f"car {car} drove past spot {n}")
-            spots[s] = car
-            if last:
-                add(tuple(spots[1:]))
-            else:
-                drive(nxt)
-            spots[s] = 0
+    The order is the walk's, not sorted, and the walk holds O(n) state; see
+    the module docstring for why no outcome repeats.
 
-    if n == 0:
-        return {()}
-    if first is None:
-        drive(1)
-    else:
-        spots[first] = 1
-        if n == 1:
-            add(tuple(spots[1:]))
-        else:
-            drive(2)
-        spots[first] = 0
-    return words
-
-
-def _drive_slice(args: tuple[int, int]) -> set[tuple[int, ...]]:
-    return _drive_all(args[0], args[1])
-
-
-def outcome_words(n: int, threads: int | None = None) -> set[tuple[int, ...]]:
-    """Outcome words of all n! staircase tuples, deduplicated.
-
-    `threads` (default: the LEHMER_THREADS environment variable, else 1) caps
-    the number of worker processes; the tuple tree is split by the first car's
-    preference and the resulting sets are merged, so the answer is identical
-    at any thread count.
+    >>> sorted(iter_outcome_words(3))
+    [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if threads is None:
-        threads = int(os.environ.get("LEHMER_THREADS", "1"))
-    if threads <= 1 or n < 4:
-        return _drive_all(n)
-    import multiprocessing
+    if n == 0:
+        yield ()
+        return
+    spots = [0] * (n + 1)
 
-    slices = [(n, first) for first in range(1, n + 1)]
-    try:
-        with multiprocessing.get_context("fork").Pool(min(threads, n)) as pool:
-            parts = pool.map(_drive_slice, slices)
-    except (OSError, ValueError):
-        return _drive_all(n)
-    merged: set[tuple[int, ...]] = set()
-    for part in parts:
-        merged |= part
-    return merged
+    def drive(car: int) -> Iterator[tuple[int, ...]]:
+        last = car == n
+        prev = 0
+        for pref in range(1, n - car + 2):
+            s = pref
+            while spots[s]:  # a staircase car always finds a spot by n
+                s += 1
+            if s == prev:  # landing spots never decrease as pref grows
+                continue
+            prev = s
+            spots[s] = car
+            if last:
+                yield tuple(spots[1:])
+            else:
+                yield from drive(car + 1)
+            spots[s] = 0
+
+    yield from drive(1)
 
 
-def outcome_set(n: int, threads: int | None = None) -> set[OutcomePermutation]:
+def outcome_words(n: int) -> set[tuple[int, ...]]:
+    """Outcome words of all n! staircase tuples, as a set of Bell(n) words.
+
+    The walk behind it parks each car once per distinct landing spot rather
+    than once per preference.  Parked cars never move, so each leaf of the
+    walk is a different outcome and the set is filled without duplicates.
+    """
+    return set(iter_outcome_words(n))
+
+
+def outcome_set(n: int) -> set[OutcomePermutation]:
     """Distinct outcomes of all n! staircase tuples, certified at construction."""
-    return {OutcomePermutation(Permutation(w)) for w in outcome_words(n, threads)}
+    return {OutcomePermutation(Permutation(w)) for w in iter_outcome_words(n)}
 
 
 def bell(n: int) -> int:

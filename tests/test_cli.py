@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import lehmerpark
 import lehmerpark.enumeration as enumeration
 from lehmerpark.cli import main
 
@@ -132,8 +135,21 @@ def test_enumerate_counts_match_formulas(capsys):
 
 def test_count_verbs(capsys):
     assert run_cli(capsys, "count", "outcomes", "--n", "6").out == "203\n"
+    # Bell(11); this path tallies the walk without collecting it into a set
+    assert run_cli(capsys, "count", "outcomes", "--n", "11").out == "678570\n"
     assert run_cli(capsys, "count", "bell", "--n", "10").out == "115975\n"
     assert run_cli(capsys, "count", "catalan", "--n", "9").out == "4862\n"
+
+
+def test_module_runs_as_script():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lehmerpark.cli", "count", "bell", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "5\n", "")
 
 
 def test_partition_pipeline_is_identity(capsys, monkeypatch):

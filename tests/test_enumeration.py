@@ -11,6 +11,7 @@ from lehmerpark.enumeration import (
     default_n_max,
     describe_theorem,
     enumerate_partitions,
+    iter_outcome_words,
     outcome_set,
     outcome_words,
     theorem_ids,
@@ -49,19 +50,17 @@ def test_all_lehmer_counts_and_bounds():
 
 
 def test_outcome_words_match_naive_parking():
-    for n in range(8):
+    for n in range(9):
         assert outcome_words(n) == naive_outcome_words(n), f"n={n}"
 
 
 def test_outcome_counts_are_bell_numbers():
-    for n in range(9):
-        assert len(outcome_words(n)) == BELL[n], f"n={n}"
-
-
-def test_outcome_words_threaded_equals_sequential():
-    for n in (5, 6):
-        assert outcome_words(n, threads=2) == outcome_words(n, threads=1)
-        assert outcome_words(n, threads=4) == outcome_words(n, threads=1)
+    # the walk must reach each outcome exactly once: no repeats, none missing
+    for n in range(11):
+        words = list(iter_outcome_words(n))
+        assert len(words) == len(set(words)) == BELL[n], f"n={n}"
+    with pytest.raises(ValueError):
+        next(iter_outcome_words(-1))
 
 
 def test_every_claimed_outcome_parks():
