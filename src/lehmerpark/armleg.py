@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, _json_int, _json_ints
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation
 
@@ -65,10 +65,12 @@ class PartialArmLegDiagram:
     @classmethod
     def from_json_obj(cls, obj) -> "PartialArmLegDiagram":
         try:
-            pts = frozenset(GridPoint(int(c), int(r)) for c, r in obj["points"])
-            return cls(int(obj["n"]), pts)
+            n, pts = obj["n"], [_json_ints(p, "a point") for p in obj["points"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"expected keys n, points in {obj!r}") from exc
+        if any(len(p) != 2 for p in pts):
+            raise ParseError(f"each point must be a [column, row] pair, got {obj['points']!r}")
+        return cls(_json_int(n, "n"), frozenset(GridPoint(c, r) for c, r in pts))
 
 
 def peaks(p: Permutation) -> PartialArmLegDiagram:

@@ -2,20 +2,23 @@
 
 An OutcomePermutation is a permutation certified (once, at construction) to
 avoid the arm-leg pattern, making it the outcome of at least one staircase
-preference tuple.  `phi` reads off arms and legs; `phi_prime` additionally
-records, row by row from the top, where each peakless row's entry sits among
-the columns still empty, which makes the map invertible.  Composing with the
-partition maps gives the bijection outcomes <-> set partitions.
+preference tuple.  `phi` reads off arms and legs; `phi_prime` also records
+where each peakless row's entry sits among the columns still empty, which
+makes the map invertible.  Both maps sweep the spaces 1..n once, space i
+standing for row n - i + 1 from the top: a space in F holds a peak, any other
+takes the g(i)-th of the depth(i) empty columns j < i, and column i stays
+empty unless i is in L.  Composing with the partition maps gives the
+bijection outcomes <-> set partitions.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .armleg import arms_legs, peaks, peaks_from_pairs
-from .paren import GBsp, SpacedParen, depths, is_balanced, matching_pairs
+from .armleg import arms_legs, peaks
+from .paren import GBsp, SpacedParen, _g_ranges, _gbsps_over, is_balanced
 from .permutation import Permutation, contains_armleg_pattern
 from .setpartition import SetPartition, from_gbsp, to_gbsp
 
@@ -59,53 +62,51 @@ def phi(p: OutcomePermutation) -> SpacedParen:
 
 
 def phi_prime(p: OutcomePermutation) -> GBsp:
-    """phi plus the filling data: sweeping rows from the top, each peakless row
-    n - i + 1 holds its entry in some column c < i, and g(i) is the rank of c
-    among the columns in [1, i - 1] that are still empty."""
-    perm = p.perm
-    n = perm.n
-    peak_diagram = peaks(perm)
-    base = arms_legs(peak_diagram)
-    used = [False] * (n + 1)
-    for c, _ in peak_diagram.points:
-        used[c] = True
-    col_of_row = [0] * (n + 1)
-    for c, v in enumerate(perm.word, start=1):
-        col_of_row[v] = c
-    ds = depths(base)
+    """phi plus g: the entry of row n - i + 1, for each space i outside F, sits in
+    the g(i)-th column still empty.  The entry v in column c is a peak iff
+    v >= n - c + 1, which puts n - v + 1 in F and c in L."""
+    word = p.word
+    n = len(word)
+    L = frozenset(c for c, v in enumerate(word, start=1) if v >= n - c + 1)
+    F = frozenset(n - word[c - 1] + 1 for c in L)
+    col_of_row = {v: c for c, v in enumerate(word, start=1)}
     g: dict[int, int] = {}
-    for i in range(1, n + 1):  # row n - i + 1, top to bottom
-        if i in base.F:
-            continue
-        empty = [j for j in range(1, i) if not used[j]]
-        assert len(empty) == ds[i - 1], "empty-column count equals the depth"
-        c = col_of_row[n - i + 1]
-        g[i] = empty.index(c) + 1
-        used[c] = True
-    return GBsp(base, g)
+    empty: list[int] = []  # columns j < i holding neither a peak nor a higher row
+    depth = 0
+    for i in range(1, n + 1):
+        if i in F:
+            depth += 1
+        else:
+            assert len(empty) == depth, "empty-column count equals the depth"
+            k = empty.index(col_of_row[n - i + 1])
+            g[i] = k + 1
+            del empty[k]
+        if i in L:
+            depth -= 1
+        else:
+            empty.append(i)
+    return GBsp(SpacedParen(n, F, L), g)
 
 
 def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
-    """Rebuild the outcome: place peaks from the matched pairs of the base, then
-    fill each peakless row from the top with the g(i)-th smallest empty column
-    in [1, i - 1]."""
+    """Rebuild the outcome in one sweep.  Parens are matched on a stack, and the
+    pair (f, l) puts the peak of row n - f + 1 in column l; each space i outside
+    F puts row n - i + 1 in the g(i)-th column still empty."""
     n = gb.n
-    diagram = peaks_from_pairs(matching_pairs(gb.base), n)
+    F, L, g = gb.base.F, gb.base.L, gb.g_map
     word = [0] * (n + 1)
-    used = [False] * (n + 1)
-    for c, r in diagram.points:
-        word[c] = r
-        used[c] = True
-    ds = depths(gb.base)
-    g = gb.g_map
+    opened: list[int] = []  # spaces in F whose paren is still open
+    empty: list[int] = []  # columns j < i holding neither a peak nor a higher row
     for i in range(1, n + 1):
-        if i in gb.base.F:
-            continue
-        empty = [j for j in range(1, i) if not used[j]]
-        assert len(empty) == ds[i - 1], "empty-column count equals the depth"
-        c = empty[g[i] - 1]
-        word[c] = n - i + 1
-        used[c] = True
+        if i in F:
+            opened.append(i)
+        else:
+            assert len(empty) == len(opened), "empty-column count equals the depth"
+            word[empty.pop(g[i] - 1)] = n - i + 1
+        if i in L:
+            word[i] = n - opened.pop() + 1
+        else:
+            empty.append(i)
     return OutcomePermutation(Permutation(tuple(word[1:])))
 
 
@@ -114,22 +115,14 @@ def fiber_size(sp: SpacedParen) -> int:
     the depths over spaces outside F."""
     if not is_balanced(sp):
         raise ValueError("fibers are defined only for balanced parenthesizations")
-    ds = depths(sp)
-    size = 1
-    for i in range(1, sp.n + 1):
-        if i not in sp.F:
-            size *= ds[i - 1]
-    return size
+    return math.prod(len(values) for values in _g_ranges(sp).values())
 
 
 def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:
     """All outcomes whose arms and legs equal `sp`, in g-lexicographic order."""
     if not is_balanced(sp):
         raise ValueError("fibers are defined only for balanced parenthesizations")
-    free = [i for i in range(1, sp.n + 1) if i not in sp.F]
-    ds = depths(sp)
-    for combo in itertools.product(*(range(1, ds[i - 1] + 1) for i in free)):
-        yield phi_prime_inv(GBsp(sp, dict(zip(free, combo))))
+    return map(phi_prime_inv, _gbsps_over(sp))
 
 
 def outcome_to_partition(p: OutcomePermutation) -> SetPartition:

@@ -18,7 +18,16 @@ import sys
 from typing import Iterator
 
 from .armleg import PartialArmLegDiagram
-from .bijection import OutcomePermutation, fiber, fiber_size, phi, phi_prime, phi_prime_inv
+from .bijection import (
+    OutcomePermutation,
+    fiber,
+    fiber_size,
+    outcome_to_partition,
+    partition_to_outcome,
+    phi,
+    phi_prime,
+    phi_prime_inv,
+)
 from .enumeration import (
     all_lehmer,
     bell,
@@ -29,7 +38,7 @@ from .enumeration import (
     theorem_ids,
     verify,
 )
-from .errors import LehmerError
+from .errors import LehmerError, _json_ints
 from .paren import GBsp, SpacedParen, enumerate_bsps, enumerate_gbsps, parse as parse_paren
 from .parking import (
     PrefTuple,
@@ -83,7 +92,7 @@ def _read_perm(text: str) -> Permutation:
 def _read_prefs(text: str) -> PrefTuple:
     text = text.strip()
     if text.startswith("["):
-        return PrefTuple(tuple(json.loads(text)))
+        return PrefTuple(_json_ints(json.loads(text), "preferences"))
     return PrefTuple.from_text(text)
 
 
@@ -92,10 +101,10 @@ def _read_table(text: str) -> InversionTable:
     if text.startswith("{"):
         obj = json.loads(text)
         if "table" in obj:
-            return InversionTable(tuple(obj["table"]))
+            return InversionTable(_json_ints(obj["table"], "an inversion table"))
         raise LehmerError(f"no table found in {text!r}")
     if text.startswith("["):
-        return InversionTable(tuple(json.loads(text)))
+        return InversionTable(_json_ints(json.loads(text), "an inversion table"))
     return InversionTable.from_text(text)
 
 
@@ -182,8 +191,6 @@ def _cmd_from_gbsp(args) -> int:
 
 
 def _cmd_to_partition(args) -> int:
-    from .bijection import outcome_to_partition
-
     for text in _inputs(args.value):
         b = outcome_to_partition(OutcomePermutation(_read_perm(text)))
         _emit({"blocks": [list(blk) for blk in b.blocks]})
@@ -191,8 +198,6 @@ def _cmd_to_partition(args) -> int:
 
 
 def _cmd_from_partition(args) -> int:
-    from .bijection import partition_to_outcome
-
     for text in _inputs(args.value):
         p = partition_to_outcome(_read_partition(text))
         _emit({"outcome": p.perm.to_json_obj()})

@@ -1,13 +1,15 @@
 """Exhaustive generators, counting oracles, and the named-check harness.
 
 `iter_outcome_words(n)` yields the outcomes of the n! staircase preference
-tuples without parking the tuples one by one.  It walks the cars depth first
-and parks car k once per distinct landing spot: every preference that lands
-where the previous one did is skipped.  Cars never move once parked, so the
-street after car k fixes the street before it; children of different streets
-differ, and children of one street differ in car k's spot.  Each of the
-Bell(n) outcomes is therefore reached exactly once, with no global set, and
-the work is the sum of the Bell-sized levels rather than n!.
+tuples without parking the tuples one by one.  It walks the cars depth first,
+on an explicit stack of landing spots, and parks car k once per distinct
+landing spot.  The spots that preferences 1..n-k+1 reach are the empty spots
+below n - k + 1 and the first empty spot at or past it, so each next landing
+spot is the first empty spot past the previous one.  Cars never move once
+parked, so the street after car k fixes the street before it; children of
+different streets differ, and children of one street differ in car k's spot.
+Each of the Bell(n) outcomes is therefore reached exactly once, with no global
+set, and the work is the sum of the Bell-sized levels rather than n!.
 `outcome_words` and `outcome_set` collect it into sets.
 
 `bell` and `catalan` are standalone recurrences (Bell triangle, Catalan
@@ -74,35 +76,30 @@ def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
-    spots = [0] * (n + 1)
-
-    def drive(car: int) -> Iterator[tuple[int, ...]]:
-        last = car == n
-        prev = 0
-        for pref in range(1, n - car + 2):
-            s = pref
-            while spots[s]:  # a staircase car always finds a spot by n
-                s += 1
-            if s == prev:  # landing spots never decrease as pref grows
-                continue
-            prev = s
-            spots[s] = car
-            if last:
-                yield tuple(spots[1:])
-            else:
-                yield from drive(car + 1)
+    spots = [0] * (n + 1)  # spots[s] = car parked there, or 0
+    at = [0] * (n + 1)  # at[car] = car's current landing spot, 0 before its first
+    car = 1
+    while car:
+        s = at[car]
+        if s:
             spots[s] = 0
-
-    yield from drive(1)
+            if s >= n - car + 1:  # no preference lands car beyond its staircase bound
+                at[car] = 0
+                car -= 1
+                continue
+        s += 1
+        while spots[s]:
+            s += 1
+        spots[s] = car
+        at[car] = s
+        if car == n:
+            yield tuple(spots[1:])
+        else:
+            car += 1
 
 
 def outcome_words(n: int) -> set[tuple[int, ...]]:
-    """Outcome words of all n! staircase tuples, as a set of Bell(n) words.
-
-    The walk behind it parks each car once per distinct landing spot rather
-    than once per preference.  Parked cars never move, so each leaf of the
-    walk is a different outcome and the set is filled without duplicates.
-    """
+    """Outcome words of all n! staircase tuples, as a set of Bell(n) words."""
     return set(iter_outcome_words(n))
 
 
@@ -184,20 +181,10 @@ def _avoider_words_132(n: int) -> set[tuple[int, ...]]:
 
 
 def _weakly_decreasing_lehmer(n: int) -> Iterator[PrefTuple]:
-    if n == 0:
-        yield PrefTuple(())
-        return
-    prefs = [0] * n
-
-    def go(i: int, bound: int) -> Iterator[PrefTuple]:
-        if i > n:
-            yield PrefTuple(tuple(prefs))
-            return
-        for v in range(min(bound, n - i + 1), 0, -1):
-            prefs[i - 1] = v
-            yield from go(i + 1, v)
-
-    yield from go(1, n)
+    # weakly decreasing tuples in decreasing lexicographic order, kept when staircase
+    for prefs in itertools.combinations_with_replacement(range(n, 0, -1), n):
+        if all(v <= n - i for i, v in enumerate(prefs)):
+            yield PrefTuple(prefs)
 
 
 def _check_lemma1_2(n: int):
@@ -305,38 +292,48 @@ def _check_lemma3_9(n: int):
     return count, bad
 
 
-def _check_cor3_10(n: int):
-    counts = Counter(phi(OutcomePermutation(Permutation(w))) for w in outcome_words(n))
+def _fiber_census(n: int, images, noun: str, fiber_of: str = ""):
+    # compare how many objects land on each balanced parenthesization with fiber_size
+    counts = Counter(images)
     bad = []
-    total = sum(counts.values())
     seen = set()
     for sp in enumerate_bsps(n):
         seen.add(sp)
         expected = fiber_size(sp)
         if counts.get(sp, 0) != expected:
             bad.append(
-                f"n={n}: fiber of F={sorted(sp.F)}, L={sorted(sp.L)} has "
-                f"{counts.get(sp, 0)} outcomes, product of depths gives {expected}"
+                f"n={n}: {fiber_of}F={sorted(sp.F)}, L={sorted(sp.L)} has "
+                f"{counts.get(sp, 0)} {noun}, product of depths gives {expected}"
             )
     for sp in counts:
         if sp not in seen:
-            bad.append(f"n={n}: outcomes map to unlisted parenthesization {sp!r}")
-    return total + len(seen), bad
+            bad.append(f"n={n}: {noun} map to unlisted parenthesization {sp!r}")
+    return sum(counts.values()) + len(seen), bad
+
+
+def _check_cor3_10(n: int):
+    outcomes = (OutcomePermutation(Permutation(w)) for w in outcome_words(n))
+    return _fiber_census(n, map(phi, outcomes), "outcomes", fiber_of="fiber of ")
+
+
+def _round_trips(n: int, objects, there, back, label):
+    # back(there(x)) == x for every object x, then there(back(gb)) == gb for every gb
+    bad = []
+    count = 0
+    for x in objects:
+        count += 1
+        if back(there(x)) != x:
+            bad.append(f"n={n}: {label(x)} does not survive the round trip")
+    for gb in enumerate_gbsps(n):
+        count += 1
+        if there(back(gb)) != gb:
+            bad.append(f"n={n}: {gb!r} does not survive the reverse round trip")
+    return count, bad
 
 
 def _check_lemma3_12(n: int):
-    bad = []
-    count = 0
-    for w in sorted(outcome_words(n)):
-        count += 1
-        p = OutcomePermutation(Permutation(w))
-        if phi_prime_inv(phi_prime(p)) != p:
-            bad.append(f"n={n}: outcome {w} does not survive the round trip")
-    for gb in enumerate_gbsps(n):
-        count += 1
-        if phi_prime(phi_prime_inv(gb)) != gb:
-            bad.append(f"n={n}: {gb!r} does not survive the reverse round trip")
-    return count, bad
+    outcomes = (OutcomePermutation(Permutation(w)) for w in sorted(outcome_words(n)))
+    return _round_trips(n, outcomes, phi_prime, phi_prime_inv, lambda p: f"outcome {p.word}")
 
 
 def _check_lemma3_13(n: int):
@@ -362,36 +359,12 @@ def _check_lemma3_14(n: int):
 
 
 def _check_cor3_15(n: int):
-    counts = Counter(min_max(b) for b in enumerate_partitions(n))
-    bad = []
-    total = sum(counts.values())
-    seen = set()
-    for sp in enumerate_bsps(n):
-        seen.add(sp)
-        expected = fiber_size(sp)
-        if counts.get(sp, 0) != expected:
-            bad.append(
-                f"n={n}: F={sorted(sp.F)}, L={sorted(sp.L)} has {counts.get(sp, 0)} "
-                f"partitions, product of depths gives {expected}"
-            )
-    for sp in counts:
-        if sp not in seen:
-            bad.append(f"n={n}: partitions map to unlisted parenthesization {sp!r}")
-    return total + len(seen), bad
+    return _fiber_census(n, map(min_max, enumerate_partitions(n)), "partitions")
 
 
 def _check_lemma3_16(n: int):
-    bad = []
-    count = 0
-    for b in enumerate_partitions(n):
-        count += 1
-        if from_gbsp(to_gbsp(b)) != b:
-            bad.append(f"n={n}: partition {b.to_text()} does not survive the round trip")
-    for gb in enumerate_gbsps(n):
-        count += 1
-        if to_gbsp(from_gbsp(gb)) != gb:
-            bad.append(f"n={n}: {gb!r} does not survive the reverse round trip")
-    return count, bad
+    partitions = enumerate_partitions(n)
+    return _round_trips(n, partitions, to_gbsp, from_gbsp, lambda b: f"partition {b.to_text()}")
 
 
 def _check_thm3_1(n: int):
@@ -496,16 +469,18 @@ def theorem_ids() -> list[str]:
     return list(_CHECKS)
 
 
-def describe_theorem(theorem: str) -> str:
+def _lookup(theorem: str) -> tuple[str, int, _Check]:
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(_CHECKS)}")
-    return _CHECKS[theorem][0]
+    return _CHECKS[theorem]
+
+
+def describe_theorem(theorem: str) -> str:
+    return _lookup(theorem)[0]
 
 
 def default_n_max(theorem: str) -> int:
-    if theorem not in _CHECKS:
-        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(_CHECKS)}")
-    return _CHECKS[theorem][1]
+    return _lookup(theorem)[1]
 
 
 def verify(theorem: str, n_max: int | None = None) -> VerificationReport:
@@ -514,9 +489,7 @@ def verify(theorem: str, n_max: int | None = None) -> VerificationReport:
     n_max defaults to a per-theorem value sized to finish in seconds; larger
     values cost accordingly.
     """
-    if theorem not in _CHECKS:
-        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(_CHECKS)}")
-    _, default_max, check = _CHECKS[theorem]
+    _, default_max, check = _lookup(theorem)
     if n_max is None:
         n_max = default_max
     if n_max < 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer checks of the JSON readers."""
 
 from __future__ import annotations
 
@@ -30,3 +30,17 @@ class GbspError(LehmerError):
         super().__init__(message)
         self.code = code
         self.space = space
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is an integer; JSON true and 1.0 are refused, not coerced."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    """The entries of a JSON array of integers, checked one by one."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"expected {what} as a JSON array of integers, got {value!r}")
+    return tuple(_json_int(v, f"each entry of {what}") for v in value)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import GbspError, ParseError
+from .errors import GbspError, ParseError, _json_int, _json_ints
 
 __all__ = [
     "SpacedParen",
@@ -65,9 +65,10 @@ class SpacedParen:
     @classmethod
     def from_json_obj(cls, obj) -> "SpacedParen":
         try:
-            return cls(int(obj["n"]), frozenset(obj["F"]), frozenset(obj["L"]))
+            n, F, L = obj["n"], obj["F"], obj["L"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
+        return cls(_json_int(n, "n"), frozenset(_json_ints(F, "F")), frozenset(_json_ints(L, "L")))
 
     def __str__(self) -> str:
         return render(self)
@@ -80,7 +81,7 @@ def depth(sp: SpacedParen, i: int) -> int:
     """
     if not 1 <= i <= sp.n:
         raise ValueError(f"space {i} out of range [1, {sp.n}]")
-    return sum(1 for f in sp.F if f <= i) - sum(1 for l in sp.L if l < i)
+    return depths(sp)[i - 1]
 
 
 def depths(sp: SpacedParen) -> tuple[int, ...]:
@@ -169,7 +170,8 @@ class GBsp:
         raw = self.g.items() if isinstance(self.g, Mapping) else self.g
         g_pairs = tuple(sorted((int(i), int(v)) for i, v in raw))
         object.__setattr__(self, "g", g_pairs)
-        if not is_balanced(self.base):
+        ds = depths(self.base)
+        if not all(d >= 1 for d in ds):
             raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
         spaces = [i for i, _ in g_pairs]
         if len(set(spaces)) != len(spaces):
@@ -186,7 +188,6 @@ class GBsp:
             raise GbspError(
                 f"unexpected g entry for space {extra[0]}", code="g-extra", space=extra[0]
             )
-        ds = depths(self.base)
         for i, v in g_pairs:
             if not 1 <= v <= ds[i - 1]:
                 raise GbspError(
@@ -210,7 +211,9 @@ class GBsp:
     def from_json_obj(cls, obj) -> "GBsp":
         base = SpacedParen.from_json_obj(obj)
         g_raw = obj.get("g", {})
-        return cls(base, {int(i): int(v) for i, v in g_raw.items()})
+        if not (isinstance(g_raw, dict) and all(str(i).isascii() and str(i).isdigit() for i in g_raw)):
+            raise ParseError(f"expected g as a JSON object keyed by space, got {g_raw!r}")
+        return cls(base, {int(i): _json_int(v, f"g({i})") for i, v in g_raw.items()})
 
     def __str__(self) -> str:
         return render(self)
@@ -282,38 +285,53 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
     """Every balanced spaced parenthesization on n spaces, exactly once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # an explicit stack: choice[i] = 2 * opens + closes at space i, tried from
+    # 0 to 3, and before[i] = parens still open before space i
+    choice = [-1] * (n + 2)
+    before = [0] * (n + 2)
     F: list[int] = []
     L: list[int] = []
+    i = 1
+    while i:
+        if i > n:  # the bound below leaves no paren open after space n
+            yield SpacedParen(n, frozenset(F), frozenset(L))
+            i -= 1
+            continue
+        if F and F[-1] == i:  # undo the previous choice at space i
+            F.pop()
+        if L and L[-1] == i:
+            L.pop()
+        choice[i] += 1
+        if choice[i] == 4:
+            choice[i] = -1
+            i -= 1
+            continue
+        opens, closes = divmod(choice[i], 2)
+        d = before[i] + opens
+        if d < 1 or d - closes > n - i:  # depth must be positive; the rest must close in time
+            continue
+        if opens:
+            F.append(i)
+        if closes:
+            L.append(i)
+        before[i + 1] = d - closes
+        i += 1
 
-    def go(i: int, opens: int, closes: int) -> Iterator[SpacedParen]:
-        if i > n:
-            if opens == closes:
-                yield SpacedParen(n, frozenset(F), frozenset(L))
-            return
-        remaining = n - i
-        for op in (0, 1):
-            if opens + op - closes < 1:  # depth at space i must be positive
-                continue
-            if op:
-                F.append(i)
-            for cl in (0, 1):
-                if opens + op - closes - cl > remaining:  # cannot close up in time
-                    continue
-                if cl:
-                    L.append(i)
-                yield from go(i + 1, opens + op, closes + cl)
-                if cl:
-                    L.pop()
-            if op:
-                F.pop()
 
-    yield from go(1, 0, 0)
+def _g_ranges(sp: SpacedParen) -> dict[int, range]:
+    """The values g(i) may take, [1, depth(i)], for each space i outside F."""
+    ds = depths(sp)
+    return {i: range(1, ds[i - 1] + 1) for i in range(1, sp.n + 1) if i not in sp.F}
+
+
+def _gbsps_over(sp: SpacedParen) -> Iterator[GBsp]:
+    """Every g on the balanced `sp`, in lexicographic order of g."""
+    ranges = _g_ranges(sp)
+    for combo in itertools.product(*ranges.values()):
+        yield GBsp(sp, dict(zip(ranges, combo)))
 
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
     for sp in enumerate_bsps(n):
-        free = [i for i in range(1, n + 1) if i not in sp.F]
-        ds = depths(sp)
-        for combo in itertools.product(*(range(1, ds[i - 1] + 1) for i in free)):
-            yield GBsp(sp, dict(zip(free, combo)))
+        yield from _gbsps_over(sp)

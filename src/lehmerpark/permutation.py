@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, _json_ints
 
 __all__ = [
     "Permutation",
@@ -64,9 +64,7 @@ class Permutation:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Permutation":
-        if not isinstance(obj, (list, tuple)):
-            raise ParseError(f"expected a JSON array of integers, got {obj!r}")
-        return cls(tuple(obj))
+        return cls(_json_ints(obj, "a permutation"))
 
     def __str__(self) -> str:
         if 0 < self.n <= 9:

@@ -110,13 +110,8 @@ def armleg_svg(source: Permutation | PartialArmLegDiagram, extend: bool = False)
 
 
 def _paren_lines(x: SpacedParen | GBsp) -> tuple[str, str]:
-    base = x.base if isinstance(x, GBsp) else x
-    g = x.g_map if isinstance(x, GBsp) else {}
-    tokens = []
-    for i in range(1, base.n + 1):
-        slot = str(g[i]) if i in g else "_"
-        tokens.append(("(" if i in base.F else "") + slot + (")" if i in base.L else ""))
-    top = " ".join(tokens)
+    top = render_paren_string(x)
+    tokens = top.split()
     labels = []
     col = 0
     cursor = 0

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError
-from .paren import GBsp, SpacedParen, depths
+from .errors import ParseError, _json_int, _json_ints
+from .paren import GBsp, SpacedParen
 
 __all__ = [
     "SetPartition",
@@ -67,11 +67,11 @@ class SetPartition:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SetPartition":
-        if not isinstance(obj, dict) or "blocks" not in obj:
-            raise ParseError(f"expected a JSON object with a blocks key, got {obj!r}")
-        blocks = tuple(tuple(b) for b in obj["blocks"])
-        n = obj.get("n", max((x for b in blocks for x in b), default=0))
-        return cls(int(n), blocks)
+        if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), (list, tuple)):
+            raise ParseError(f"expected a JSON object with a blocks array, got {obj!r}")
+        blocks = tuple(_json_ints(b, "a block") for b in obj["blocks"])
+        n = _json_int(obj["n"], "n") if "n" in obj else max((x for b in blocks for x in b), default=0)
+        return cls(n, blocks)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -94,46 +94,41 @@ def min_max(b: SetPartition) -> SpacedParen:
 
 def to_gbsp(b: SetPartition) -> GBsp:
     """min_max(b) plus, for each non-minimum element i, the rank of its block
-    among the blocks open at i (min < i <= max), ordered by minimum."""
+    among the blocks open at i (min < i <= max), ordered by minimum.  One sweep
+    keeps the minima of the open blocks."""
     base = min_max(b)
+    block_min = {x: blk[0] for blk in b.blocks for x in blk}
     g: dict[int, int] = {}
+    opened: list[int] = []  # minima of the open blocks, ascending
     for i in range(1, b.n + 1):
         if i in base.F:
-            continue
-        open_blocks = [blk for blk in b.blocks if blk[0] < i <= blk[-1]]
-        g[i] = open_blocks.index(b.block_of(i)) + 1
+            opened.append(i)
+        else:
+            g[i] = opened.index(block_min[i]) + 1
+        if i in base.L:
+            opened.remove(block_min[i])
     return GBsp(base, g)
 
 
 def from_gbsp(gb: GBsp) -> SetPartition:
-    """Rebuild the partition by a single left-to-right pass.
+    """Rebuild the partition in one sweep over 1..n.
 
-    Space i opens a block when i is in F, closes the g(i)-th open block (by
-    minimum) when i is in L only, joins the g(i)-th open block when i is in
-    neither, and forms a singleton when i is in both.  The number of open
-    blocks at each g-consuming step equals the depth of the space.
+    Space i opens a block when i is in F and otherwise joins the g(i)-th open
+    block (by minimum); the block closes after i when i is in L.
     """
-    n = gb.n
-    F, L = gb.base.F, gb.base.L
-    g = gb.g_map
-    ds = depths(gb.base)
-    open_blocks: list[list[int]] = []  # minima are encountered in increasing order
+    F, L, g = gb.base.F, gb.base.L, gb.g_map
+    opened: list[list[int]] = []  # open blocks, by minimum
     closed: list[list[int]] = []
-    for i in range(1, n + 1):
-        if i in F and i in L:
-            closed.append([i])
-        elif i in F:
-            open_blocks.append([i])
-        elif i in L:
-            assert len(open_blocks) == ds[i - 1], "open-block count equals the depth"
-            blk = open_blocks.pop(g[i] - 1)
-            blk.append(i)
-            closed.append(blk)
+    for i in range(1, gb.n + 1):
+        if i in F:
+            opened.append([i])
+            k = len(opened) - 1
         else:
-            assert len(open_blocks) == ds[i - 1], "open-block count equals the depth"
-            open_blocks[g[i] - 1].append(i)
-    assert not open_blocks, "every block closes at its maximum"
-    return SetPartition(n, tuple(tuple(blk) for blk in closed))
+            k = g[i] - 1
+            opened[k].append(i)
+        if i in L:
+            closed.append(opened.pop(k))
+    return SetPartition(gb.n, tuple(tuple(blk) for blk in closed))
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -143,17 +138,21 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     if n == 0:
         yield SetPartition(0, ())
         return
-    assignment = [0] * n
-
-    def go(i: int, nblocks: int) -> Iterator[SetPartition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for element, b in enumerate(assignment, start=1):
-                blocks[b].append(element)
-            yield SetPartition(n, tuple(tuple(b) for b in blocks))
+    # restricted growth string in lexicographic order (Knuth, TAOCP 4A 7.2.1.5):
+    # rgs[i] is the block of element i + 1, and tops[i] = max(rgs[:i + 1]) + 1
+    rgs = [0] * n
+    tops = [1] * n
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(tops[-1])]
+        for element, blk in enumerate(rgs, start=1):
+            blocks[blk].append(element)
+        yield SetPartition(n, tuple(tuple(blk) for blk in blocks))
+        i = n - 1
+        while i and rgs[i] == tops[i - 1]:  # element i + 1 already starts a new block
+            i -= 1
+        if not i:
             return
-        for b in range(nblocks + 1):
-            assignment[i] = b
-            yield from go(i + 1, max(nblocks, b + 1))
-
-    yield from go(0, 0)
+        rgs[i] += 1
+        tops[i] = max(tops[i - 1], rgs[i] + 1)
+        rgs[i + 1:] = [0] * (n - i - 1)
+        tops[i + 1:] = [tops[i]] * (n - i - 1)

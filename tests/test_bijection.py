@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -14,11 +15,11 @@ from lehmerpark.bijection import (
     phi_prime,
     phi_prime_inv,
 )
-from lehmerpark.enumeration import bell, enumerate_partitions, outcome_set
+from lehmerpark.enumeration import bell, enumerate_partitions, outcome_set, outcome_words
 from lehmerpark.paren import GBsp, SpacedParen, depths, enumerate_bsps, enumerate_gbsps
 from lehmerpark.parking import canonical_lehmer_preimage, park
 from lehmerpark.permutation import Permutation, contains_armleg_pattern
-from lehmerpark.setpartition import SetPartition
+from lehmerpark.setpartition import SetPartition, to_gbsp
 
 
 def outcome(*word):
@@ -152,3 +153,64 @@ def test_outcomes_are_exactly_parkable_images():
         for oc in outcome_set(n):
             result = park(canonical_lehmer_preimage(oc.perm))
             assert result.ok and result.outcome == oc.perm
+
+
+def literal_g_of_outcome(word):
+    """g of phi_prime by its definition: sweeping the rows from the top, the
+    entry of each peakless row n - i + 1 sits in a column c < i, and g(i) is
+    the rank of c among the columns j < i that hold neither a peak nor the
+    entry of a higher row.  The list of such columns is rebuilt at every row."""
+    n = len(word)
+    peak_points = [(c, v) for c, v in enumerate(word, start=1) if v >= n - c + 1]
+    F = {n - v + 1 for _, v in peak_points}
+    used = {c for c, _ in peak_points}
+    g = {}
+    for i in range(1, n + 1):
+        if i in F:
+            continue
+        c = word.index(n - i + 1) + 1
+        empty = [j for j in range(1, i) if j not in used]
+        g[i] = empty.index(c) + 1
+        used.add(c)
+    return g
+
+
+def literal_g_of_partition(b):
+    """g of to_gbsp by its definition: the rank of i's block among the blocks
+    with min < i <= max, ordered by minimum."""
+    g = {}
+    for blk in b.blocks:
+        for i in blk[1:]:
+            open_blocks = [other for other in b.blocks if other[0] < i <= other[-1]]
+            g[i] = open_blocks.index(blk) + 1
+    return g
+
+
+def partition_of_2000(window):
+    """Each element opens a block, or joins one of the `window` newest blocks."""
+    rng = random.Random(window)
+    blocks = []
+    for x in range(1, 2001):
+        if not blocks or rng.random() < 0.5:
+            blocks.append([x])
+        else:
+            blocks[rng.randrange(max(0, len(blocks) - window), len(blocks))].append(x)
+    return SetPartition(2000, tuple(tuple(blk) for blk in blocks))
+
+
+def test_g_matches_literal_definition_exhaustive():
+    for n in range(9):
+        for w in outcome_words(n):
+            assert phi_prime(OutcomePermutation(Permutation(w))).g_map == literal_g_of_outcome(w), w
+        for b in enumerate_partitions(n):
+            assert to_gbsp(b).g_map == literal_g_of_partition(b), b
+
+
+@pytest.mark.parametrize("window, max_depth", [(2, 2), (2000, 252)], ids=["shallow", "deep"])
+def test_g_matches_literal_definition_at_n_2000(window, max_depth):
+    b = partition_of_2000(window)
+    gb = to_gbsp(b)
+    assert max(depths(gb.base)) == max_depth
+    assert gb.g_map == literal_g_of_partition(b)
+    oc = partition_to_outcome(b)
+    assert phi_prime(oc).g_map == literal_g_of_outcome(oc.word)

@@ -254,6 +254,25 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("from-gbsp", '{"n":2,"F":[1],"L":[2],"g":[[2,1]]}'),
+    ("from-partition", '{"blocks":5}'),
+    ("to-partition", '{"outcome":[1,[2]]}'),
+    ("park", "[1.7,1]"),
+    ("park", "[true,1]"),
+    ("to-partition", "[2.5,1]"),
+    ("invtable", "from-table", '{"table":[0,false]}'),
+    ("from-gbsp", '{"n":2.0,"F":[1],"L":[2],"g":{"2":1}}'),
+    ("from-gbsp", '{"n":2,"F":[1],"L":[2],"g":{"2":1.0}}'),
+    ("from-partition", '{"n":2,"blocks":[[1],[2.0]]}'),
+    ("render", "armleg", '{"n":3,"points":[[1,3,2]]}'),
+])
+def test_json_shape_errors_exit_1_without_coercion(capsys, argv):
+    captured = run_cli(capsys, *argv, expect=1)
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == "parse"
+
+
 def test_outcome_membership_gate_on_transform(capsys):
     captured = run_cli(capsys, "to-gbsp", "3,4,1,6,2,5", expect=1)
     err = json.loads(captured.err.strip())

@@ -17,7 +17,9 @@ from lehmerpark.enumeration import (
     theorem_ids,
     verify,
 )
+from lehmerpark.paren import SpacedParen, enumerate_bsps
 from lehmerpark.parking import PrefTuple, park
+from lehmerpark.setpartition import SetPartition
 
 # frozen reference values, copied by hand
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -61,6 +63,16 @@ def test_outcome_counts_are_bell_numbers():
         assert len(words) == len(set(words)) == BELL[n], f"n={n}"
     with pytest.raises(ValueError):
         next(iter_outcome_words(-1))
+
+
+@pytest.mark.parametrize("generate, first", [
+    (iter_outcome_words, tuple(range(1, 1201))),
+    (enumerate_partitions, SetPartition(1200, (tuple(range(1, 1201)),))),
+    (enumerate_bsps, SpacedParen(1200, frozenset({1}), frozenset({1200}))),
+], ids=["outcomes", "partitions", "bsps"])
+def test_generators_do_not_depend_on_the_recursion_limit(generate, first):
+    # a generator frame per element would pass the default limit of 1000
+    assert next(generate(1200)) == first
 
 
 def test_every_claimed_outcome_parks():

@@ -8,15 +8,16 @@ from lehmerpark.setpartition import SetPartition, from_gbsp, min_max, to_gbsp
 
 
 def all_partitions_by_assignment(n):
-    """Partitions as restricted-growth strings checked directly, no shared code."""
-    out = set()
+    """Partitions as restricted-growth strings checked directly, no shared code,
+    in lexicographic order of the strings."""
+    out = []
     for labels in itertools.product(range(n), repeat=n):
         if any(labels[i] > (max(labels[:i], default=-1) + 1) for i in range(n)):
             continue
         blocks = {}
         for i, lab in enumerate(labels, start=1):
             blocks.setdefault(lab, []).append(i)
-        out.add(SetPartition(n, tuple(tuple(b) for b in blocks.values())))
+        out.append(SetPartition(n, tuple(tuple(b) for b in blocks.values())))
     return out
 
 
@@ -113,4 +114,4 @@ def test_enumerate_partitions_counts_and_oracle():
     for n in range(7):
         listed = list(enumerate_partitions(n))
         assert len(listed) == len(set(listed)) == bell(n)
-        assert set(listed) == all_partitions_by_assignment(n)
+        assert listed == all_partitions_by_assignment(n)
