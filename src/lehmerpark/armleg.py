@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, _json_int, _json_ints
+from .errors import ParseError, _json_distinct, _json_int, _json_ints
 from .paren import MatchedPairs, SpacedParen
-from .permutation import Permutation
+from .permutation import Permutation, _armleg_crossing
 
 __all__ = [
     "GridPoint",
@@ -70,6 +70,7 @@ class PartialArmLegDiagram:
             raise ParseError(f"expected keys n, points in {obj!r}") from exc
         if any(len(p) != 2 for p in pts):
             raise ParseError(f"each point must be a [column, row] pair, got {obj['points']!r}")
+        pts = _json_distinct(pts, "points")
         return cls(_json_int(n, "n"), frozenset(GridPoint(c, r) for c, r in pts))
 
 
@@ -105,15 +106,8 @@ def arms_legs(t: PartialArmLegDiagram) -> SpacedParen:
 def is_intersecting(t: PartialArmLegDiagram) -> bool:
     """True iff some arm crosses some leg; equivalently, points in columns
     i < j exist with n - i + 1 <= row_j < row_i."""
-    pts = t.sorted_points()
-    n = t.n
-    for a in range(len(pts)):
-        ci, ri = pts[a]
-        lo = n - ci + 1
-        for b in range(a + 1, len(pts)):
-            if lo <= pts[b].row < ri:
-                return True
-    return False
+    rows = dict(t.points)  # column -> row; 0 marks an empty column
+    return _armleg_crossing([rows.get(c, 0) for c in range(1, t.n + 1)]) is not None
 
 
 def peaks_from_pairs(pairs: MatchedPairs, n: int) -> PartialArmLegDiagram:

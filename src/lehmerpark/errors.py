@@ -44,3 +44,15 @@ def _json_ints(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"expected {what} as a JSON array of integers, got {value!r}")
     return tuple(_json_int(v, f"each entry of {what}") for v in value)
+
+
+def _json_distinct(values, what: str) -> frozenset:
+    """`values` as a set; a repeated entry is refused, not collapsed."""
+    distinct = frozenset(values)
+    if len(distinct) < len(values):  # find the first repeat
+        seen: set = set()
+        for pos, v in enumerate(values, start=1):
+            if v in seen:
+                raise ParseError(f"repeated entry {v!r} in {what}", position=pos)
+            seen.add(v)
+    return distinct

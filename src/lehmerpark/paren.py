@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import GbspError, ParseError, _json_int, _json_ints
+from .errors import GbspError, ParseError, _json_distinct, _json_int, _json_ints
+from .permutation import _armleg_crossing
 
 __all__ = [
     "SpacedParen",
@@ -68,7 +69,10 @@ class SpacedParen:
             n, F, L = obj["n"], obj["F"], obj["L"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
-        return cls(_json_int(n, "n"), frozenset(_json_ints(F, "F")), frozenset(_json_ints(L, "L")))
+        n = _json_int(n, "n")
+        F = _json_distinct(_json_ints(F, "F"), "F")
+        L = _json_distinct(_json_ints(L, "L"), "L")
+        return cls(n, F, L)
 
     def __str__(self) -> str:
         return render(self)
@@ -108,8 +112,8 @@ def is_balanced(sp: SpacedParen) -> bool:
 
 @dataclass(frozen=True)
 class MatchedPairs:
-    """Pairs (f, l) with f <= l, distinct openings and closings, and no crossing
-    f_i < f_j <= l_i < l_j; stored sorted by opening space."""
+    """Pairs (f, l) of spaces with 1 <= f <= l, distinct openings and closings,
+    and no crossing f_i < f_j <= l_i < l_j; stored sorted by opening space."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -121,14 +125,18 @@ class MatchedPairs:
         if len(set(openings)) != len(openings) or len(set(closings)) != len(closings):
             raise ValueError("duplicate opening or closing space")
         for f, l in pairs:
+            if f < 1:
+                raise ValueError(f"pair ({f},{l}) opens before space 1")
             if f > l:
                 raise ValueError(f"pair ({f},{l}) closes before it opens")
-        for a in range(len(pairs)):
-            fa, la = pairs[a]
-            for b in range(a + 1, len(pairs)):
-                fb, lb = pairs[b]
-                if fa < fb <= la < lb:
-                    raise ValueError(f"pairs ({fa},{la}) and ({fb},{lb}) cross")
+        n = max(closings, default=0)
+        word = [0] * n  # pair (f, l) is the point in column l, row n - f + 1
+        for f, l in pairs:
+            word[l - 1] = n - f + 1
+        crossing = _armleg_crossing(word)
+        if crossing:
+            (fa, la), (fb, lb) = ((n - word[c - 1] + 1, c) for c in crossing)
+            raise ValueError(f"pairs ({fa},{la}) and ({fb},{lb}) cross")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -213,6 +221,7 @@ class GBsp:
         g_raw = obj.get("g", {})
         if not (isinstance(g_raw, dict) and all(str(i).isascii() and str(i).isdigit() for i in g_raw)):
             raise ParseError(f"expected g as a JSON object keyed by space, got {g_raw!r}")
+        _json_distinct([int(i) for i in g_raw], "the keys of g")
         return cls(base, {int(i): _json_int(v, f"g({i})") for i, v in g_raw.items()})
 
     def __str__(self) -> str:

@@ -8,6 +8,7 @@ is 5.  Text input accepts comma-separated values, or a plain digit string like
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import ParseError, _json_ints
@@ -142,11 +143,11 @@ def inversion_table(p: Permutation) -> InversionTable:
     >>> inversion_table(Permutation((5, 2, 4, 6, 1, 3))).entries
     (4, 1, 3, 1, 0, 0)
     """
-    word = p.word
-    entries = []
-    for value in range(1, p.n + 1):
-        pos = word.index(value)
-        entries.append(sum(1 for other in word[:pos] if other > value))
+    seen: list[int] = []  # the values to the left, sorted
+    entries = [0] * p.n
+    for value in p.word:
+        entries[value - 1] = len(seen) - bisect.bisect(seen, value)
+        bisect.insort(seen, value)
     return InversionTable(tuple(entries))
 
 
@@ -166,20 +167,16 @@ def from_inversion_table(t: InversionTable) -> Permutation:
 
 
 def _contains_132(word: tuple[int, ...]) -> bool:
-    # positions i < j < k with word[i] < word[k] < word[j]; the prefix minimum
-    # is always the best candidate for the first position
-    n = len(word)
-    if n < 3:
-        return False
-    prefix_min = word[0]
-    for j in range(1, n - 1):
-        vj = word[j]
-        if prefix_min < vj:
-            for k in range(j + 1, n):
-                if prefix_min < word[k] < vj:
-                    return True
-        if vj < prefix_min:
-            prefix_min = vj
+    # right to left, mid is the largest value seen that a larger one to its left
+    # has popped; any later value below mid completes a 132
+    mid = 0
+    stack: list[int] = []
+    for v in reversed(word):
+        if v < mid:
+            return True
+        while stack and stack[-1] < v:
+            mid = stack.pop()
+        stack.append(v)
     return False
 
 
@@ -194,18 +191,23 @@ def contains_pattern_132(p: Permutation) -> bool:
     return _contains_132(p.word)
 
 
-def _contains_armleg(word: tuple[int, ...]) -> bool:
-    # positions i < j (1-based) with n - i + 1 <= word[j] < word[i]
+def _armleg_crossing(word) -> tuple[int, int] | None:
+    """Columns i < j with n - i + 1 <= word[j] < word[i], or None; 0 marks an empty column."""
     n = len(word)
-    for i in range(n):
-        vi = word[i]
-        lo = n - i  # n - (i+1) + 1 in 1-based terms
-        if vi <= lo:
-            continue
-        for j in range(i + 1, n):
-            if lo <= word[j] < vi:
-                return True
-    return False
+    stack: list[tuple[int, int]] = []  # peaks (f, l) that no later peak encloses
+    for l, v in enumerate(word, start=1):
+        f = n - v + 1
+        if f <= l:  # a peak: it pops the peaks it encloses and can cross only the new top
+            while stack and stack[-1][0] > f:
+                stack.pop()
+            if stack and stack[-1][1] >= f:
+                return stack[-1][1], l
+            stack.append((f, l))
+    return None
+
+
+def _contains_armleg(word: tuple[int, ...]) -> bool:
+    return _armleg_crossing(word) is not None
 
 
 def contains_armleg_pattern(p: Permutation) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_arms_legs_worked_example():
 
 
 def test_is_intersecting_matches_geometry_oracle_on_diagrams():
-    for n in range(6):
+    for n in range(8):
         for diagram in all_partial_diagrams(n):
             assert is_intersecting(diagram) == oracle_intersecting(diagram), diagram
 
@@ -122,7 +123,25 @@ def test_matched_pairs_validation():
         MatchedPairs(((3, 2),))  # closes before it opens
     with pytest.raises(ValueError):
         MatchedPairs(((1, 3), (2, 4)))  # crossing
+    with pytest.raises(ValueError):
+        MatchedPairs(((0, 2),))  # spaces start at 1
     MatchedPairs(((1, 4), (2, 3)))  # nesting is fine
+    # every pairing of openings F with closings L in [6] with f <= l: accepted
+    # exactly when no two pairs cross, else the two pairs named do cross
+    for k in range(7):
+        for F, L in itertools.product(itertools.combinations(range(1, 7), k), repeat=2):
+            for closings in itertools.permutations(L):
+                pairs = tuple(zip(F, closings))
+                if any(f > l for f, l in pairs):
+                    continue
+                crossing = [(a, b) for a in pairs for b in pairs if a[0] < b[0] <= a[1] < b[1]]
+                try:
+                    MatchedPairs(pairs)
+                except ValueError as exc:
+                    fa, la, fb, lb = map(int, re.findall(r"\d+", str(exc)))
+                    assert ((fa, la), (fb, lb)) in crossing, (pairs, str(exc))
+                else:
+                    assert not crossing, pairs
 
 
 def test_peaks_from_pairs_rejects_points_outside_grid():

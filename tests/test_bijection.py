@@ -214,3 +214,15 @@ def test_g_matches_literal_definition_at_n_2000(window, max_depth):
     assert gb.g_map == literal_g_of_partition(b)
     oc = partition_to_outcome(b)
     assert phi_prime(oc).g_map == literal_g_of_outcome(oc.word)
+    assert not contains_armleg_pattern(oc.perm)
+    # peaks (f, l) in column order: where f drops, the later peak encloses the
+    # earlier one (nothing crosses), and swapping their entries makes them cross
+    n, word = oc.n, list(oc.word)
+    pk = [(n - v + 1, c) for c, v in enumerate(word, start=1) if n - v + 1 <= c]
+    i = next(i for i in range(len(pk) - 1) if pk[i][0] > pk[i + 1][0])
+    (fa, la), (fb, lb) = pk[i + 1], pk[i]
+    assert fa < fb <= lb < la
+    word[la - 1], word[lb - 1] = word[lb - 1], word[la - 1]
+    assert contains_armleg_pattern(Permutation(tuple(word)))
+    with pytest.raises(ValueError):
+        OutcomePermutation(Permutation(tuple(word)))

@@ -266,6 +266,10 @@ def test_help_exits_0(capsys):
     ("from-gbsp", '{"n":2,"F":[1],"L":[2],"g":{"2":1.0}}'),
     ("from-partition", '{"n":2,"blocks":[[1],[2.0]]}'),
     ("render", "armleg", '{"n":3,"points":[[1,3,2]]}'),
+    ("from-gbsp", '{"n":2,"F":[1,1],"L":[2,2],"g":{"2":1}}'),
+    ("fiber", '{"n":3,"F":[1,2],"L":[2,3,3]}'),
+    ("from-gbsp", '{"n":4,"F":[1],"L":[4],"g":{"2":1,"3":1,"03":1,"4":1}}'),
+    ("render", "armleg", '{"n":2,"points":[[2,2],[2,2]]}'),
 ])
 def test_json_shape_errors_exit_1_without_coercion(capsys, argv):
     captured = run_cli(capsys, *argv, expect=1)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -44,6 +45,40 @@ def naive_contains_armleg(word):
         for i in range(n)
         for j in range(i + 1, n)
     )
+
+
+def staircase_outcome(rng, n):
+    """Park car i at the first empty spot from a random a_i in [1, n - i + 1];
+    outcomes of such staircase tuples avoid the arm-leg pattern."""
+    spots = [0] * (n + 1)
+    for car in range(1, n + 1):
+        s = rng.randint(1, n - car + 1)
+        while spots[s]:
+            s += 1
+        spots[s] = car
+    return tuple(spots[1:])
+
+
+def random_132_avoider(rng, n, low=1):
+    """A permutation of low..low+n-1 in which every value left of the largest
+    exceeds every value right of it, recursively."""
+    if n == 0:
+        return ()
+    k = rng.randrange(n)  # how many values go right of the largest
+    left, right = random_132_avoider(rng, n - 1 - k, low + k), random_132_avoider(rng, k, low)
+    return left + (low + n - 1,) + right
+
+
+def seeded_words(avoider, sizes, per_size=8, seed=0):
+    """Per size: uniform permutations, avoiders, and avoiders with two entries swapped."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(per_size):
+            yield tuple(rng.sample(range(1, n + 1), n))
+            word = avoider(rng, n)
+            yield word
+            i, j = sorted(rng.sample(range(n), 2))
+            yield word[:i] + (word[j],) + word[i + 1:j] + (word[i],) + word[j + 1:]
 
 
 def test_permutation_validation():
@@ -96,6 +131,8 @@ def test_inversion_table_known_values():
     assert inversion_table(Permutation((5, 2, 4, 6, 1, 3))).entries == (4, 1, 3, 1, 0, 0)
     assert inversion_table(Permutation((3, 2, 1))).entries == (2, 1, 0)
     assert inversion_table(identity(5)).entries == (0, 0, 0, 0, 0)
+    for word in seeded_words(staircase_outcome, (50, 300), per_size=2, seed=1):
+        assert inversion_table(Permutation(word)).entries == naive_inversion_table(word)
 
 
 def test_inversion_table_bounds_enforced():
@@ -134,6 +171,8 @@ def test_pattern_132_agrees_with_cubic_oracle():
     for n in range(7):
         for word in itertools.permutations(range(1, n + 1)):
             assert contains_pattern_132(Permutation(word)) == naive_contains_132(word)
+    for word in seeded_words(random_132_avoider, (8, 13, 30, 60), seed=132):
+        assert contains_pattern_132(Permutation(word)) == naive_contains_132(word), word
 
 
 def test_132_avoider_counts_are_catalan():
@@ -158,3 +197,5 @@ def test_armleg_pattern_agrees_with_quadratic_oracle():
     for n in range(7):
         for word in itertools.permutations(range(1, n + 1)):
             assert contains_armleg_pattern(Permutation(word)) == naive_contains_armleg(word)
+    for word in seeded_words(staircase_outcome, (8, 13, 50, 120, 300), seed=300):
+        assert contains_armleg_pattern(Permutation(word)) == naive_contains_armleg(word), word
