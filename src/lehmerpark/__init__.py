@@ -50,7 +50,6 @@ from .paren import (
     matching_pairs,
     parse,
     render,
-    validate_gbsp,
 )
 from .parking import (
     ParkOutcome,

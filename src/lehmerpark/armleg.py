@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, _json_distinct, _json_int, _json_ints
+from .errors import ParseError, _distinct, _int, _int_pairs, _json_array
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation, _armleg_crossing
 
@@ -42,9 +42,9 @@ class PartialArmLegDiagram:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
-        pts = frozenset(GridPoint(int(c), int(r)) for c, r in self.points)
+        pts = _distinct([GridPoint(*p) for p in _int_pairs(self.points, "points")], "points")
         object.__setattr__(self, "points", pts)
-        if self.n < 0:
+        if _int(self.n, "n") < 0:
             raise ValueError("n must be nonnegative")
         for c, r in pts:
             if not (1 <= c <= self.n and 1 <= r <= self.n):
@@ -65,13 +65,10 @@ class PartialArmLegDiagram:
     @classmethod
     def from_json_obj(cls, obj) -> "PartialArmLegDiagram":
         try:
-            n, pts = obj["n"], [_json_ints(p, "a point") for p in obj["points"]]
+            n, pts = obj["n"], _json_array(obj["points"], "points")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"expected keys n, points in {obj!r}") from exc
-        if any(len(p) != 2 for p in pts):
-            raise ParseError(f"each point must be a [column, row] pair, got {obj['points']!r}")
-        pts = _json_distinct(pts, "points")
-        return cls(_json_int(n, "n"), frozenset(GridPoint(c, r) for c, r in pts))
+        return cls(n, [_json_array(p, "a point") for p in pts])
 
 
 def peaks(p: Permutation) -> PartialArmLegDiagram:

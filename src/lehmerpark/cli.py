@@ -5,9 +5,9 @@ one value per line from stdin, so verbs compose in pipelines:
 
     lehmerpark enumerate partitions --n 6 | lehmerpark from-partition | lehmerpark to-partition
 
-Exit codes: 0 on success, 1 on a domain error (a JSON object describing it is
-printed to stderr), 2 when a verification run finds a discrepancy.  Output is
-deterministic.
+Exit codes: 0 on success, 1 on a usage error, malformed input or a domain
+error (one JSON object describing it is printed to stderr), 2 when a
+verification run finds a discrepancy.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .enumeration import (
     theorem_ids,
     verify,
 )
-from .errors import LehmerError, _json_ints
+from .errors import LehmerError, ParseError, _distinct, _json_array
 from .paren import GBsp, SpacedParen, enumerate_bsps, enumerate_gbsps, parse as parse_paren
 from .parking import (
     PrefTuple,
@@ -50,6 +50,7 @@ from .parking import (
 from .permutation import (
     InversionTable,
     Permutation,
+    _parse_int_word,
     contains_armleg_pattern,
     from_inversion_table,
     inversion_table,
@@ -66,6 +67,26 @@ def _emit(obj) -> None:
     print(_dump(obj))
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _distinct([key for key, _ in pairs], "a JSON object's keys")
+    return obj
+
+
+# built once: json.loads with a hook would build a new decoder for every line
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _loads(text: str):
+    """The one JSON decode: malformed JSON and a key repeated in one object are
+    parse errors, where plain json.loads would keep the last of the repeats."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+
+
 def _inputs(value: str | None) -> Iterator[str]:
     if value is not None:
         yield value
@@ -76,75 +97,93 @@ def _inputs(value: str | None) -> Iterator[str]:
             yield line
 
 
-def _read_perm(text: str) -> Permutation:
+def _int_word(text: str, *keys: str, allow_zero: bool = False) -> list | tuple:
+    """The integers of a permutation, preference tuple or inversion table: a JSON
+    array, a JSON object holding one under the first of `keys` it has, or the
+    comma or digit text form.  The constructor checks each entry."""
     text = text.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        for key in ("outcome", "perm"):
-            if key in obj:
-                return Permutation.from_json_obj(obj[key])
-        raise LehmerError(f"no permutation found in {text!r}")
-    if text.startswith("["):
-        return Permutation.from_json_obj(json.loads(text))
-    return Permutation.from_text(text)
+    if not text.startswith(("[", "{")):
+        return _parse_int_word(text, allow_zero)
+    value = _loads(text)
+    if isinstance(value, dict):
+        value = next((value[key] for key in keys if key in value), value)
+    return _json_array(value, "the integers")
+
+
+def _read_perm(text: str) -> Permutation:
+    return Permutation(_int_word(text, "outcome", "perm"))
+
+
+def _read_outcome(text: str) -> OutcomePermutation:
+    return OutcomePermutation(_read_perm(text))
 
 
 def _read_prefs(text: str) -> PrefTuple:
+    return PrefTuple(_int_word(text))
+
+
+def _read_paren(text: str) -> SpacedParen | GBsp:
+    """A parenthesization as JSON, augmented exactly when it has a "g" key, or
+    as the string grammar, augmented exactly when a slot holds a digit."""
     text = text.strip()
-    if text.startswith("["):
-        return PrefTuple(_json_ints(json.loads(text), "preferences"))
-    return PrefTuple.from_text(text)
-
-
-def _read_table(text: str) -> InversionTable:
-    text = text.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        if "table" in obj:
-            return InversionTable(_json_ints(obj["table"], "an inversion table"))
-        raise LehmerError(f"no table found in {text!r}")
-    if text.startswith("["):
-        return InversionTable(_json_ints(json.loads(text), "an inversion table"))
-    return InversionTable.from_text(text)
-
-
-def _read_bsp(text: str) -> SpacedParen:
-    text = text.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        if "g" in obj:
-            raise LehmerError("expected a plain parenthesization without g")
-        return SpacedParen.from_json_obj(obj)
-    result = parse_paren(text)
-    if isinstance(result, GBsp):
-        raise LehmerError("expected a plain parenthesization without g")
-    return result
+    if not text.startswith("{"):
+        return parse_paren(text)
+    obj = _loads(text)
+    return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
 
 
 def _read_gbsp(text: str) -> GBsp:
-    text = text.strip()
-    if text.startswith("{"):
-        return GBsp.from_json_obj(json.loads(text))
-    result = parse_paren(text)
-    if isinstance(result, GBsp):
-        return result
-    return GBsp(result, {})  # valid only when F = [n]; validation reports otherwise
+    x = _read_paren(text)
+    return x if isinstance(x, GBsp) else GBsp(x, {})  # valid only when F = [n]
 
 
 def _read_partition(text: str) -> SetPartition:
     text = text.strip()
     if text.startswith("{") and not text.startswith("{{") and '"' in text:
-        return SetPartition.from_json_obj(json.loads(text))
+        return SetPartition.from_json_obj(_loads(text))
     return SetPartition.from_text(text)
 
 
-def _cmd_park(args) -> int:
+def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
+    text = text.strip()
+    if text.startswith("{") and "points" in text:
+        return PartialArmLegDiagram.from_json_obj(_loads(text))
+    return _read_perm(text)
+
+
+def _park(a: PrefTuple) -> dict:
+    result = park(a)
+    if result.ok:
+        return {"outcome": result.outcome.to_json_obj()}
+    return {"failed_car": result.failed_car}
+
+
+# each transform verb reads one value per input and maps it to one JSON line
+_TRANSFORMS = {
+    "park": (_read_prefs, _park),
+    "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
+    "from-table": (
+        lambda text: InversionTable(_int_word(text, "table", allow_zero=True)),
+        lambda t: {"perm": from_inversion_table(t).to_json_obj()},
+    ),
+    "phi": (_read_outcome, lambda p: phi(p).to_json_obj()),
+    "to-gbsp": (_read_outcome, lambda p: phi_prime(p).to_json_obj()),
+    "from-gbsp": (_read_gbsp, lambda gb: {"outcome": phi_prime_inv(gb).perm.to_json_obj()}),
+    "to-partition": (
+        _read_outcome,
+        lambda p: {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]},
+    ),
+    "from-partition": (
+        _read_partition,
+        lambda b: {"outcome": partition_to_outcome(b).perm.to_json_obj()},
+    ),
+}
+
+
+def _cmd_transform(args) -> int:
+    read, apply = _TRANSFORMS[getattr(args, "direction", args.verb)]
     for text in _inputs(args.value):
-        result = park(_read_prefs(text))
-        if result.ok:
-            _emit({"outcome": result.outcome.to_json_obj()})
-        else:
-            _emit({"failed_car": result.failed_car})
+        _emit(apply(read(text)))
     return 0
 
 
@@ -163,50 +202,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_invtable(args) -> int:
-    for text in _inputs(args.value):
-        if args.direction == "to-table":
-            _emit({"table": inversion_table(_read_perm(text)).to_json_obj()})
-        else:
-            _emit({"perm": from_inversion_table(_read_table(text)).to_json_obj()})
-    return 0
-
-
-def _cmd_phi(args) -> int:
-    for text in _inputs(args.value):
-        _emit(phi(OutcomePermutation(_read_perm(text))).to_json_obj())
-    return 0
-
-
-def _cmd_to_gbsp(args) -> int:
-    for text in _inputs(args.value):
-        _emit(phi_prime(OutcomePermutation(_read_perm(text))).to_json_obj())
-    return 0
-
-
-def _cmd_from_gbsp(args) -> int:
-    for text in _inputs(args.value):
-        _emit({"outcome": phi_prime_inv(_read_gbsp(text)).perm.to_json_obj()})
-    return 0
-
-
-def _cmd_to_partition(args) -> int:
-    for text in _inputs(args.value):
-        b = outcome_to_partition(OutcomePermutation(_read_perm(text)))
-        _emit({"blocks": [list(blk) for blk in b.blocks]})
-    return 0
-
-
-def _cmd_from_partition(args) -> int:
-    for text in _inputs(args.value):
-        p = partition_to_outcome(_read_partition(text))
-        _emit({"outcome": p.perm.to_json_obj()})
-    return 0
-
-
 def _cmd_fiber(args) -> int:
     for text in _inputs(args.value):
-        sp = _read_bsp(text)
+        sp = _read_paren(text)
+        if isinstance(sp, GBsp):
+            raise LehmerError("expected a plain parenthesization without g")
         if args.count:
             print(fiber_size(sp))
         else:
@@ -261,32 +261,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    svg = args.format == "svg"
     for text in _inputs(args.value):
         if args.kind == "armleg":
-            text = text.strip()
-            if text.startswith("{") and "points" in text:
-                source = PartialArmLegDiagram.from_json_obj(json.loads(text))
-            else:
-                source = _read_perm(text)
-            out = (
-                armleg_svg(source, extend=args.extend)
-                if args.format == "svg"
-                else armleg_ascii(source)
-            )
+            source = _read_armleg(text)
+            print(armleg_svg(source, extend=args.extend) if svg else armleg_ascii(source))
         else:
-            parsed = parse_paren(text) if not text.strip().startswith("{") else None
-            if parsed is None:
-                obj = json.loads(text)
-                parsed = (
-                    GBsp.from_json_obj(obj) if obj.get("g") else SpacedParen.from_json_obj(obj)
-                )
-            out = paren_svg(parsed) if args.format == "svg" else paren_ascii(parsed)
-        print(out)
+            paren = _read_paren(text)
+            print(paren_svg(paren) if svg else paren_ascii(paren))
     return 0
 
 
+class _UsageError(LehmerError):
+    code = "usage"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, reported like any other error, where argparse would exit 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lehmerpark",
         description="Staircase parking functions, outcomes, parenthesizations, partitions.",
     )
@@ -299,21 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("value", nargs="?", help="input value; stdin lines when omitted")
         return p
 
-    add("park", _cmd_park, "run the parking procedure on a preference tuple")
+    add("park", _cmd_transform, "run the parking procedure on a preference tuple")
 
     p = add("check", _cmd_check, "test a membership predicate", value=False)
     p.add_argument("kind", choices=sorted(_CHECKS))
     p.add_argument("value", nargs="?")
 
-    p = add("invtable", _cmd_invtable, "inversion table of a permutation, or back", value=False)
+    p = add("invtable", _cmd_transform, "inversion table of a permutation, or back", value=False)
     p.add_argument("direction", choices=["to-table", "from-table"])
     p.add_argument("value", nargs="?")
 
-    add("phi", _cmd_phi, "arms and legs of an outcome permutation")
-    add("to-gbsp", _cmd_to_gbsp, "outcome permutation to g-parenthesization")
-    add("from-gbsp", _cmd_from_gbsp, "g-parenthesization back to its outcome")
-    add("to-partition", _cmd_to_partition, "outcome permutation to set partition")
-    add("from-partition", _cmd_from_partition, "set partition back to its outcome")
+    add("phi", _cmd_transform, "arms and legs of an outcome permutation")
+    add("to-gbsp", _cmd_transform, "outcome permutation to g-parenthesization")
+    add("from-gbsp", _cmd_transform, "g-parenthesization back to its outcome")
+    add("to-partition", _cmd_transform, "outcome permutation to set partition")
+    add("from-partition", _cmd_transform, "set partition back to its outcome")
 
     p = add("fiber", _cmd_fiber, "all outcomes over a balanced parenthesization")
     p.add_argument("--count", action="store_true", help="print only the fiber size")
@@ -340,28 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; keep 2 for verification
-        return 0 if exc.code == 0 else 1
-    if extras:
-        # argparse will not match a trailing positional once flags intervene,
-        # e.g. `render armleg --format svg 3,4,1,5,2,6`; recover the value here
-        if (
-            len(extras) == 1
-            and not extras[0].startswith("-")
-            and getattr(args, "value", "") is None
-        ):
-            args.value = extras[0]
-        else:
-            print(_dump({"error": f"unrecognized arguments: {' '.join(extras)}", "code": "usage"}), file=sys.stderr)
-            return 1
-    try:
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:
+            # argparse will not match a trailing positional once flags intervene,
+            # e.g. `render armleg --format svg 3,4,1,5,2,6`; recover the value here
+            if (
+                len(extras) == 1
+                and not extras[0].startswith("-")
+                and getattr(args, "value", "") is None
+            ):
+                args.value = extras[0]
+            else:
+                raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
+    except SystemExit as exc:  # only --help exits inside argparse now
+        return 0 if exc.code == 0 else 1
     except BrokenPipeError:
         return 0
-    except (LehmerError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         error = {"error": str(exc), "code": getattr(exc, "code", "domain")}
         if getattr(exc, "position", None) is not None:
             error["position"] = exc.position

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer checks of the JSON readers."""
+"""Exception types shared across the package, and the entry checks of its constructors."""
 
 from __future__ import annotations
 
@@ -32,21 +32,36 @@ class GbspError(LehmerError):
         self.space = space
 
 
-def _json_int(value, what: str) -> int:
-    """`value` if it is an integer; JSON true and 1.0 are refused, not coerced."""
+_INT = frozenset({int})
+
+
+def _int(value, what: str) -> int:
+    """`value` if it is an integer; true and 1.0 are refused, not coerced."""
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _json_ints(value, what: str) -> tuple[int, ...]:
-    """The entries of a JSON array of integers, checked one by one."""
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"expected {what} as a JSON array of integers, got {value!r}")
-    return tuple(_json_int(v, f"each entry of {what}") for v in value)
+def _ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of integers; a bool, float or str entry is refused, not coerced."""
+    values = tuple(values)
+    if not set(map(type, values)) <= _INT:
+        pos, bad = next((pos, v) for pos, v in enumerate(values, start=1) if type(v) is not int)
+        raise ParseError(f"entry {pos} of {what} must be an integer, got {bad!r}", position=pos)
+    return values
 
 
-def _json_distinct(values, what: str) -> frozenset:
+def _int_pairs(values, what: str) -> tuple[tuple[int, int], ...]:
+    """`values` as pairs of integers, such as points or (space, value) entries."""
+    pairs = tuple(map(tuple, values))
+    for pos, pair in enumerate(pairs, start=1):
+        if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+            raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",
+                             position=pos)
+    return pairs
+
+
+def _distinct(values, what: str) -> frozenset:
     """`values` as a set; a repeated entry is refused, not collapsed."""
     distinct = frozenset(values)
     if len(distinct) < len(values):  # find the first repeat
@@ -56,3 +71,10 @@ def _json_distinct(values, what: str) -> frozenset:
                 raise ParseError(f"repeated entry {v!r} in {what}", position=pos)
             seen.add(v)
     return distinct
+
+
+def _json_array(value, what: str):
+    """`value` if it is a JSON array; its entries are left to the constructor."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"expected {what} as a JSON array, got {value!r}")
+    return value

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import GbspError, ParseError, _json_distinct, _json_int, _json_ints
+from .errors import GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array
 from .permutation import _armleg_crossing
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "depths",
     "is_balanced",
     "matching_pairs",
-    "validate_gbsp",
     "render",
     "parse",
     "enumerate_bsps",
@@ -47,11 +46,11 @@ class SpacedParen:
     L: frozenset[int]
 
     def __post_init__(self) -> None:
-        F = frozenset(int(i) for i in self.F)
-        L = frozenset(int(i) for i in self.L)
+        F = _distinct(_ints(self.F, "F"), "F")
+        L = _distinct(_ints(self.L, "L"), "L")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "L", L)
-        if self.n < 0:
+        if _int(self.n, "n") < 0:
             raise ValueError("n must be nonnegative")
         for name, members in (("F", F), ("L", L)):
             bad = sorted(i for i in members if not 1 <= i <= self.n)
@@ -69,10 +68,7 @@ class SpacedParen:
             n, F, L = obj["n"], obj["F"], obj["L"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
-        n = _json_int(n, "n")
-        F = _json_distinct(_json_ints(F, "F"), "F")
-        L = _json_distinct(_json_ints(L, "L"), "L")
-        return cls(n, F, L)
+        return cls(n, _json_array(F, "F"), _json_array(L, "L"))
 
     def __str__(self) -> str:
         return render(self)
@@ -94,20 +90,25 @@ def depths(sp: SpacedParen) -> tuple[int, ...]:
     >>> depths(SpacedParen(7, frozenset({1, 3, 5}), frozenset({5, 6, 7})))
     (1, 1, 2, 2, 3, 2, 1)
     """
-    out = []
+    return tuple(_iter_depths(sp))
+
+
+def _iter_depths(sp: SpacedParen) -> Iterator[int]:
     d = 0
     for i in range(1, sp.n + 1):
         if i in sp.F:
             d += 1
-        out.append(d)
+        yield d
         if i in sp.L:
             d -= 1
-    return tuple(out)
 
 
 def is_balanced(sp: SpacedParen) -> bool:
-    """True iff every space has positive depth (forces 1 in F and n in L)."""
-    return all(d >= 1 for d in depths(sp))
+    """True iff every space has positive depth (forces 1 in F and n in L).
+
+    Stops at the first nonpositive depth, so an unbalanced huge n costs nothing.
+    """
+    return all(d >= 1 for d in _iter_depths(sp))
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class MatchedPairs:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(f), int(l)) for f, l in self.pairs))
+        pairs = tuple(sorted(_int_pairs(self.pairs, "pairs")))
         object.__setattr__(self, "pairs", pairs)
         openings = [f for f, _ in pairs]
         closings = [l for _, l in pairs]
@@ -176,26 +177,28 @@ class GBsp:
 
     def __post_init__(self) -> None:
         raw = self.g.items() if isinstance(self.g, Mapping) else self.g
-        g_pairs = tuple(sorted((int(i), int(v)) for i, v in raw))
+        g_pairs = tuple(sorted(_int_pairs(raw, "g")))
         object.__setattr__(self, "g", g_pairs)
-        ds = depths(self.base)
-        if not all(d >= 1 for d in ds):
-            raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
-        spaces = [i for i, _ in g_pairs]
-        if len(set(spaces)) != len(spaces):
-            dup = next(i for k, i in enumerate(spaces) if i in spaces[:k])
+        n, F = self.base.n, self.base.F
+        g = dict(g_pairs)
+        if len(g) < len(g_pairs):
+            dup = next(i for (i, _), (j, _) in zip(g_pairs, g_pairs[1:]) if i == j)
             raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
-        expected = set(range(1, self.base.n + 1)) - self.base.F
-        missing = sorted(expected - set(spaces))
-        extra = sorted(set(spaces) - expected)
-        if missing:
-            raise GbspError(
-                f"missing g entry for space {missing[0]}", code="g-missing", space=missing[0]
-            )
-        if extra:
+        # g is matched with F before the depth sweep, so a huge claimed n fails
+        # fast: the scan for a missing space stops within |F| + |g| + 1 spaces
+        extra = [i for i in g if not 1 <= i <= n or i in F]
+        if extra or len(g) != n - len(F):
+            missing = next((i for i in range(1, n + 1) if i not in F and i not in g), None)
+            if missing is not None:
+                raise GbspError(
+                    f"missing g entry for space {missing}", code="g-missing", space=missing
+                )
             raise GbspError(
                 f"unexpected g entry for space {extra[0]}", code="g-extra", space=extra[0]
             )
+        ds = depths(self.base)
+        if not all(d >= 1 for d in ds):
+            raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
         for i, v in g_pairs:
             if not 1 <= v <= ds[i - 1]:
                 raise GbspError(
@@ -221,18 +224,11 @@ class GBsp:
         g_raw = obj.get("g", {})
         if not (isinstance(g_raw, dict) and all(str(i).isascii() and str(i).isdigit() for i in g_raw)):
             raise ParseError(f"expected g as a JSON object keyed by space, got {g_raw!r}")
-        _json_distinct([int(i) for i in g_raw], "the keys of g")
-        return cls(base, {int(i): _json_int(v, f"g({i})") for i, v in g_raw.items()})
+        _distinct([int(i) for i in g_raw], "the keys of g")  # "3" and "03" name one space
+        return cls(base, {int(i): v for i, v in g_raw.items()})
 
     def __str__(self) -> str:
         return render(self)
-
-
-def validate_gbsp(n: int, F, L, g) -> GBsp:
-    """Build a GBsp from raw parts, raising GbspError with a distinct code when
-    the base is unbalanced, g has missing or extra entries, or a value is out
-    of range."""
-    return GBsp(SpacedParen(n, frozenset(F), frozenset(L)), g)
 
 
 _TOKEN_RE = re.compile(r"^(\()?(_|\d+)(\))?$")

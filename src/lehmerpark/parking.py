@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import _ints
 from .permutation import (
     InversionTable,
     Permutation,
@@ -38,7 +38,7 @@ class PrefTuple:
     prefs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prefs = tuple(int(a) for a in self.prefs)
+        prefs = _ints(self.prefs, "a preference tuple")
         object.__setattr__(self, "prefs", prefs)
         n = len(prefs)
         for i, a in enumerate(prefs, start=1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .errors import ParseError, _json_ints
+from .errors import ParseError, _ints, _json_array
 
 __all__ = [
     "Permutation",
@@ -32,7 +32,7 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        word = tuple(int(v) for v in self.word)
+        word = _ints(self.word, "a permutation")
         object.__setattr__(self, "word", word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ParseError(f"not a permutation of [{len(word)}]: {word!r}")
@@ -65,7 +65,7 @@ class Permutation:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Permutation":
-        return cls(_json_ints(obj, "a permutation"))
+        return cls(_json_array(obj, "a permutation"))
 
     def __str__(self) -> str:
         if 0 < self.n <= 9:
@@ -80,7 +80,7 @@ class InversionTable:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        entries = _ints(self.entries, "an inversion table")
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         for i, e in enumerate(entries, start=1):

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError, _json_int, _json_ints
+from .errors import ParseError, _int, _ints, _json_array
 from .paren import GBsp, SpacedParen
 
 __all__ = [
@@ -31,12 +31,13 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(sorted(tuple(sorted(int(x) for x in b)) for b in self.blocks))
+        blocks = tuple(sorted(tuple(sorted(_ints(b, "a block"))) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
         if any(not b for b in blocks):
             raise ValueError("blocks must be nonempty")
         members = sorted(x for b in blocks for x in b)
-        if members != list(range(1, self.n + 1)):
+        # the count first, so a huge claimed n fails before [1, n] is built
+        if len(members) != _int(self.n, "n") or members != list(range(1, self.n + 1)):
             raise ValueError(f"blocks do not partition [1, {self.n}]")
 
     def block_of(self, x: int) -> tuple[int, ...]:
@@ -69,8 +70,8 @@ class SetPartition:
     def from_json_obj(cls, obj) -> "SetPartition":
         if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), (list, tuple)):
             raise ParseError(f"expected a JSON object with a blocks array, got {obj!r}")
-        blocks = tuple(_json_ints(b, "a block") for b in obj["blocks"])
-        n = _json_int(obj["n"], "n") if "n" in obj else max((x for b in blocks for x in b), default=0)
+        blocks = [_json_array(b, "a block") for b in obj["blocks"]]
+        n = obj["n"] if "n" in obj else sum(map(len, blocks))  # a partition of [n] has n members
         return cls(n, blocks)
 
     def __str__(self) -> str:

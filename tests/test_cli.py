@@ -243,10 +243,17 @@ def test_parse_error_carries_position(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    assert main(["no-such-verb"]) == 1
-    capsys.readouterr()
-    assert main(["park", "1,1", "extra", "junk"]) == 1
-    capsys.readouterr()
+    for argv in (
+        ["no-such-verb"],
+        ["park", "1,1", "extra", "junk"],
+        ["enumerate", "outcomes"],
+        ["count", "outcomes", "--n", "x"],
+        ["check", "nope", "1,2"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "usage", argv
 
 
 def test_help_exits_0(capsys):
@@ -270,6 +277,11 @@ def test_help_exits_0(capsys):
     ("fiber", '{"n":3,"F":[1,2],"L":[2,3,3]}'),
     ("from-gbsp", '{"n":4,"F":[1],"L":[4],"g":{"2":1,"3":1,"03":1,"4":1}}'),
     ("render", "armleg", '{"n":2,"points":[[2,2],[2,2]]}'),
+    ("from-gbsp", '{"n":3,"n":2,"F":[1],"L":[2],"g":{"2":1}}'),
+    ("to-partition", '{"outcome":[2,1],"outcome":[1,2]}'),
+    ("invtable", "from-table", '{"table":[0,0],"table":[1,0]}'),
+    ("render", "armleg", '{"n":3,"points":[[1,3]],"points":[[2,3]]}'),
+    ("phi", "[1,2,3"),
 ])
 def test_json_shape_errors_exit_1_without_coercion(capsys, argv):
     captured = run_cli(capsys, *argv, expect=1)

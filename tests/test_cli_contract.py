@@ -1,0 +1,195 @@
+"""The input contract: every value is read once, at the boundary, and either
+becomes a valid object or is refused with exactly one JSON error object.
+
+Constructors refuse what they would otherwise coerce; the CLI never raises,
+never prints a traceback, and what it prints on success round-trips through
+the inverse verb.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import lehmerpark
+from lehmerpark import (
+    GBsp,
+    InversionTable,
+    MatchedPairs,
+    PartialArmLegDiagram,
+    Permutation,
+    PrefTuple,
+    SetPartition,
+    SpacedParen,
+    to_gbsp,
+)
+from lehmerpark.cli import main
+from lehmerpark.errors import ParseError
+
+VERBS = [
+    ("park",),
+    ("phi",),
+    ("to-gbsp",),
+    ("from-gbsp",),
+    ("to-partition",),
+    ("from-partition",),
+    ("fiber",),
+    ("fiber", "--count"),
+    ("invtable", "to-table"),
+    ("invtable", "from-table"),
+    ("check", "parking-function"),
+    ("check", "lehmer"),
+    ("check", "weakly-decreasing"),
+    ("check", "outcome-membership"),
+]
+RENDERS = [("render", "paren"), ("render", "armleg")]  # stdout is a picture, not JSON
+
+INVERSE = {
+    ("to-gbsp",): ("from-gbsp",),
+    ("from-gbsp",): ("to-gbsp",),
+    ("to-partition",): ("from-partition",),
+    ("from-partition",): ("to-partition",),
+    ("invtable", "to-table"): ("invtable", "from-table"),
+    ("invtable", "from-table"): ("invtable", "to-table"),
+}
+
+KEYS = ["n", "F", "L", "g", "blocks", "outcome", "perm", "table", "points", "1", "2", "3", "03"]
+
+small_ints = st.integers(-2, 9)
+scalars = st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3)
+json_values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _int_word_forms(word):
+    return st.sampled_from([
+        ",".join(map(str, word)),
+        json.dumps(word),
+        json.dumps({"outcome": word}),
+        json.dumps({"perm": word}),
+        json.dumps({"table": word}),
+    ])
+
+
+def _blocks(labels):
+    return [[i + 1 for i, lab in enumerate(labels) if lab == b] for b in sorted(set(labels))]
+
+
+int_words = (
+    st.lists(st.integers(-1, 7), max_size=7)
+    | st.integers(0, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+).flatmap(_int_word_forms)
+
+
+def _partition_forms(blocks):
+    gb = to_gbsp(SetPartition(sum(map(len, blocks)), blocks))
+    return st.sampled_from([
+        json.dumps({"blocks": blocks}),
+        "|".join("{" + ",".join(map(str, b)) + "}" for b in blocks),
+        json.dumps(gb.to_json_obj()),
+        str(gb),
+        json.dumps(gb.base.to_json_obj()),
+        str(gb.base),
+    ])
+
+
+partitions = st.lists(st.integers(0, 3), max_size=7).map(_blocks).flatmap(_partition_forms)
+paren_texts = st.lists(
+    st.sampled_from(["(_", "_", "_)", "(_)", "1", "2", "1)", "2)", "(1", "x"]), max_size=7
+).map(" ".join)
+
+values = (
+    st.text(max_size=20)
+    | json_values.map(json.dumps)
+    | int_words
+    | partitions
+    | paren_texts
+)
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, out, err, json_stdout=True):
+    if code == 0:
+        assert err == ""
+        if json_stdout:
+            for line in out.splitlines():
+                json.loads(line)
+    else:
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert isinstance(error, dict) and "error" in error and "code" in error
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verb=st.sampled_from(VERBS + RENDERS), value=values)
+def test_every_value_is_read_or_refused_with_one_json_error(verb, value):
+    code, out, err = call([*verb, value])
+    assert_contract(code, out, err, json_stdout=verb not in RENDERS)
+    if code == 0 and verb in INVERSE:
+        back = call([*INVERSE[verb], out.strip()])
+        assert back[0] == 0, back
+        again = call([*verb, back[1].strip()])
+        assert again == (0, out, "")
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Permutation, ((1.7, 2),)),
+    (Permutation, ((True, 2),)),
+    (PrefTuple, ((True, 1),)),
+    (InversionTable, ((0, 0.0),)),
+    (SpacedParen, (2, [1, 1], [2, 2])),
+    (SpacedParen, (2.0, [1], [2])),
+    (MatchedPairs, (((1, 2.0),),)),
+    (GBsp, (SpacedParen(2, [1], [2]), {2: True})),
+    (SetPartition, (2, ((1, "2"),))),
+    (PartialArmLegDiagram, (2, [(2, 2), (2, 2)])),
+    (PartialArmLegDiagram, (2, [(2, 2.0)])),
+], ids=[
+    "perm-float", "perm-bool", "prefs-bool", "table-float", "paren-repeat", "paren-float-n",
+    "pairs-float", "gbsp-bool", "partition-str", "armleg-repeat", "armleg-float",
+])
+def test_constructors_refuse_instead_of_coercing(cls, args):
+    with pytest.raises(ParseError):
+        cls(*args)
+
+
+def _limit_memory():
+    import resource
+
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ("from-partition", '{"n":300000000,"blocks":[[1]]}'),
+    ("fiber", "--count", '{"n":300000000,"F":[],"L":[]}'),
+    ("from-gbsp", '{"n":300000000,"F":[1],"L":[300000000],"g":{}}'),
+], ids=["partition", "fiber", "gbsp"])
+def test_huge_claimed_n_fails_fast_with_one_json_error(argv):
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lehmerpark.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    assert set(json.loads(line)) >= {"error", "code"}

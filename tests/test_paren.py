@@ -16,7 +16,6 @@ from lehmerpark.paren import (
     matching_pairs,
     parse,
     render,
-    validate_gbsp,
 )
 
 
@@ -154,7 +153,7 @@ def test_gbsp_validation_codes():
     with pytest.raises(GbspError) as err:
         GBsp(SpacedParen(2, frozenset({2}), frozenset({2})), {1: 1})
     assert err.value.code == "unbalanced-base"
-    built = validate_gbsp(6, {1, 2, 5}, {4, 5, 6}, {3: 2, 4: 1, 6: 1})
+    built = GBsp(SpacedParen(6, frozenset({1, 2, 5}), frozenset({4, 5, 6})), {3: 2, 4: 1, 6: 1})
     assert built.g_map == {3: 2, 4: 1, 6: 1}
 
 
