@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .armleg import arms_legs, peaks
-from .paren import GBsp, SpacedParen, _g_ranges, _gbsps_over, is_balanced
+from .paren import GBsp, SpacedParen, _gbsps_over, _iter_depths, is_balanced
 from .permutation import Permutation, contains_armleg_pattern
 from .setpartition import SetPartition, from_gbsp, to_gbsp
 
@@ -112,10 +112,10 @@ def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
 
 def fiber_size(sp: SpacedParen) -> int:
     """Number of outcomes (equally, partitions) mapping to `sp`: the product of
-    the depths over spaces outside F."""
+    the depths over spaces outside F, a running product that holds no value per space."""
     if not is_balanced(sp):
         raise ValueError("fibers are defined only for balanced parenthesizations")
-    return math.prod(len(values) for values in _g_ranges(sp).values())
+    return math.prod(d for i, d in enumerate(_iter_depths(sp), start=1) if i not in sp.F)
 
 
 def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:

@@ -32,7 +32,6 @@ from .enumeration import (
     all_lehmer,
     bell,
     catalan,
-    default_n_max,
     describe_theorem,
     iter_outcome_words,
     theorem_ids,
@@ -84,7 +83,7 @@ def _loads(text: str):
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
+        raise ParseError(f"malformed JSON: {exc}", position=exc.pos + 1) from None
 
 
 def _inputs(value: str | None) -> Iterator[str]:
@@ -97,13 +96,13 @@ def _inputs(value: str | None) -> Iterator[str]:
             yield line
 
 
-def _int_word(text: str, *keys: str, allow_zero: bool = False) -> list | tuple:
+def _int_word(text: str, *keys: str) -> list | tuple:
     """The integers of a permutation, preference tuple or inversion table: a JSON
     array, a JSON object holding one under the first of `keys` it has, or the
     comma or digit text form.  The constructor checks each entry."""
     text = text.strip()
     if not text.startswith(("[", "{")):
-        return _parse_int_word(text, allow_zero)
+        return _parse_int_word(text)
     value = _loads(text)
     if isinstance(value, dict):
         value = next((value[key] for key in keys if key in value), value)
@@ -151,6 +150,10 @@ def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
     return _read_perm(text)
 
 
+def _blocks(b: SetPartition) -> dict:
+    return {"blocks": [list(blk) for blk in b.blocks]}
+
+
 def _park(a: PrefTuple) -> dict:
     result = park(a)
     if result.ok:
@@ -163,16 +166,13 @@ _TRANSFORMS = {
     "park": (_read_prefs, _park),
     "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
     "from-table": (
-        lambda text: InversionTable(_int_word(text, "table", allow_zero=True)),
+        lambda text: InversionTable(_int_word(text, "table")),
         lambda t: {"perm": from_inversion_table(t).to_json_obj()},
     ),
     "phi": (_read_outcome, lambda p: phi(p).to_json_obj()),
     "to-gbsp": (_read_outcome, lambda p: phi_prime(p).to_json_obj()),
     "from-gbsp": (_read_gbsp, lambda gb: {"outcome": phi_prime_inv(gb).perm.to_json_obj()}),
-    "to-partition": (
-        _read_outcome,
-        lambda p: {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]},
-    ),
+    "to-partition": (_read_outcome, lambda p: _blocks(outcome_to_partition(p))),
     "from-partition": (
         _read_partition,
         lambda b: {"outcome": partition_to_outcome(b).perm.to_json_obj()},
@@ -215,33 +215,32 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
+# each enumerate kind lists its family at n and writes one JSON line per member
+_FAMILIES = {
+    "lehmer": (all_lehmer, PrefTuple.to_json_obj),
+    "outcomes": (lambda n: sorted(iter_outcome_words(n)), lambda w: {"outcome": list(w)}),
+    "partitions": (enumerate_partitions, _blocks),
+    "bsp": (enumerate_bsps, SpacedParen.to_json_obj),
+    "gbsp": (enumerate_gbsps, GBsp.to_json_obj),
+}
+
+
 def _cmd_enumerate(args) -> int:
-    n = args.n
-    if args.kind == "lehmer":
-        for a in all_lehmer(n):
-            _emit(a.to_json_obj())
-    elif args.kind == "outcomes":
-        for w in sorted(iter_outcome_words(n)):
-            _emit({"outcome": list(w)})
-    elif args.kind == "partitions":
-        for b in enumerate_partitions(n):
-            _emit({"blocks": [list(blk) for blk in b.blocks]})
-    elif args.kind == "bsp":
-        for sp in enumerate_bsps(n):
-            _emit(sp.to_json_obj())
-    else:
-        for gb in enumerate_gbsps(n):
-            _emit(gb.to_json_obj())
+    generate, to_json = _FAMILIES[args.kind]
+    for x in generate(args.n):
+        _emit(to_json(x))
     return 0
 
 
+_COUNTS = {
+    "bell": bell,
+    "catalan": catalan,
+    "outcomes": lambda n: sum(1 for _ in iter_outcome_words(n)),
+}
+
+
 def _cmd_count(args) -> int:
-    if args.kind == "bell":
-        print(bell(args.n))
-    elif args.kind == "catalan":
-        print(catalan(args.n))
-    else:
-        print(sum(1 for _ in iter_outcome_words(args.n)))
+    print(_COUNTS[args.kind](args.n))
     return 0
 
 
@@ -317,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="print only the fiber size")
 
     p = add("enumerate", _cmd_enumerate, "list a family exhaustively", value=False)
-    p.add_argument("kind", choices=["lehmer", "outcomes", "partitions", "bsp", "gbsp"])
+    p.add_argument("kind", choices=list(_FAMILIES))
     p.add_argument("--n", type=int, required=True)
 
     p = add("count", _cmd_count, "count a family", value=False)
-    p.add_argument("kind", choices=["bell", "catalan", "outcomes"])
+    p.add_argument("kind", choices=list(_COUNTS))
     p.add_argument("--n", type=int, required=True)
 
     p = add("verify", _cmd_verify, "run a named exhaustive check", value=False)

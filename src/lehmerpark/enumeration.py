@@ -36,10 +36,10 @@ from .bijection import (
     phi_prime,
     phi_prime_inv,
 )
-from .paren import GBsp, SpacedParen, depth, depths, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
-from .parking import PrefTuple, is_lehmer, is_parking_function, is_weakly_decreasing, park
+from .paren import GBsp, depth, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
+from .parking import PrefTuple, is_parking_function, park
 from .permutation import Permutation, _contains_132, _contains_armleg
-from .setpartition import SetPartition, enumerate_partitions, from_gbsp, min_max, to_gbsp
+from .setpartition import enumerate_partitions, from_gbsp, min_max, to_gbsp
 
 __all__ = [
     "all_lehmer",
@@ -187,16 +187,24 @@ def _weakly_decreasing_lehmer(n: int) -> Iterator[PrefTuple]:
             yield PrefTuple(prefs)
 
 
-def _check_lemma1_2(n: int):
-    bad = []
+def _each(objects, problems):
+    # (objects examined, discrepancy strings); problems(x) yields what is wrong with x
     count = 0
-    for a in all_lehmer(n):
+    bad: list[str] = []
+    for x in objects:
         count += 1
-        if not is_parking_function(a):
-            bad.append(f"n={n}: staircase tuple {a.prefs} fails the sorted-prefix test")
-        elif not park(a).ok:
-            bad.append(f"n={n}: parking failed for staircase tuple {a.prefs}")
+        bad.extend(problems(x))
     return count, bad
+
+
+def _check_lemma1_2(n: int):
+    def problems(a):
+        if not is_parking_function(a):
+            yield f"n={n}: staircase tuple {a.prefs} fails the sorted-prefix test"
+        elif not park(a).ok:
+            yield f"n={n}: parking failed for staircase tuple {a.prefs}"
+
+    return _each(all_lehmer(n), problems)
 
 
 def _check_thm2_4(n: int):
@@ -211,29 +219,25 @@ def _check_thm2_4(n: int):
 
 
 def _check_lemma3_4(n: int):
-    bad = []
-    count = 0
-    for w in sorted(outcome_words(n)):
-        count += 1
+    def problems(w):
         diagram = peaks(Permutation(w))
         sp = arms_legs(diagram)
         for i in range(1, n + 1):
             if depth_at(diagram, i) != depth(sp, i):
-                bad.append(
+                yield (
                     f"n={n}: outcome {w} space {i}: box count "
                     f"{depth_at(diagram, i)} != paren depth {depth(sp, i)}"
                 )
-    return count, bad
+
+    return _each(sorted(outcome_words(n)), problems)
 
 
 def _check_lemma3_5(n: int):
-    bad = []
-    count = 0
-    for w in sorted(outcome_words(n)):
-        count += 1
+    def problems(w):
         if not is_balanced(arms_legs(peaks(Permutation(w)))):
-            bad.append(f"n={n}: arms/legs of outcome {w} are not balanced")
-    return count, bad
+            yield f"n={n}: arms/legs of outcome {w} are not balanced"
+
+    return _each(sorted(outcome_words(n)), problems)
 
 
 def _all_partial_diagrams(n: int) -> Iterator[PartialArmLegDiagram]:
@@ -282,14 +286,12 @@ def _check_lemma3_7(n: int):
 
 
 def _check_lemma3_9(n: int):
-    bad = []
-    count = 0
-    for gb in enumerate_gbsps(n):
-        count += 1
+    def problems(gb):
         p = phi_prime_inv(gb)  # construction certifies outcome membership
         if phi(p) != gb.base:
-            bad.append(f"n={n}: filling of {gb!r} has wrong arms/legs")
-    return count, bad
+            yield f"n={n}: filling of {gb!r} has wrong arms/legs"
+
+    return _each(enumerate_gbsps(n), problems)
 
 
 def _fiber_census(n: int, images, noun: str, fiber_of: str = ""):
@@ -337,25 +339,21 @@ def _check_lemma3_12(n: int):
 
 
 def _check_lemma3_13(n: int):
-    bad = []
-    count = 0
-    for b in enumerate_partitions(n):
-        count += 1
+    def problems(b):
         if not is_balanced(min_max(b)):
-            bad.append(f"n={n}: minima/maxima of {b.to_text()} are not balanced")
-    return count, bad
+            yield f"n={n}: minima/maxima of {b.to_text()} are not balanced"
+
+    return _each(enumerate_partitions(n), problems)
 
 
 def _check_lemma3_14(n: int):
-    bad = []
-    count = 0
-    for sp in enumerate_bsps(n):
-        count += 1
+    def problems(sp):
         free = [i for i in range(1, n + 1) if i not in sp.F]
         b = from_gbsp(GBsp(sp, {i: 1 for i in free}))
         if min_max(b) != sp:
-            bad.append(f"n={n}: no partition found with minima/maxima {sp!r}")
-    return count, bad
+            yield f"n={n}: no partition found with minima/maxima {sp!r}"
+
+    return _each(enumerate_bsps(n), problems)
 
 
 def _check_cor3_15(n: int):
@@ -389,30 +387,27 @@ def _check_thm3_1(n: int):
 
 
 def _check_prop4_1(n: int):
-    bad = []
-    count = 0
-    for a in _weakly_decreasing_lehmer(n):
-        count += 1
+    def problems(a):
         result = park(a)
         if not result.ok:
-            bad.append(f"n={n}: weakly decreasing staircase tuple {a.prefs} failed to park")
+            yield f"n={n}: weakly decreasing staircase tuple {a.prefs} failed to park"
         elif _contains_132(result.outcome.word):
-            bad.append(f"n={n}: outcome of {a.prefs} contains the pattern 132")
-    return count, bad
+            yield f"n={n}: outcome of {a.prefs} contains the pattern 132"
+
+    return _each(_weakly_decreasing_lehmer(n), problems)
 
 
 def _check_lemma4_2(n: int):
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    bad = []
-    count = 0
-    for a in _weakly_decreasing_lehmer(n):
-        count += 1
+
+    def problems(a):
         w = park(a).outcome.word
         if w in outcomes:
-            bad.append(f"n={n}: {outcomes[w]} and {a.prefs} park to the same outcome {w}")
+            yield f"n={n}: {outcomes[w]} and {a.prefs} park to the same outcome {w}"
         else:
             outcomes[w] = a.prefs
-    return count, bad
+
+    return _each(_weakly_decreasing_lehmer(n), problems)
 
 
 def _check_thm4_3(n: int):

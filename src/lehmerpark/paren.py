@@ -323,17 +323,13 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
         i += 1
 
 
-def _g_ranges(sp: SpacedParen) -> dict[int, range]:
-    """The values g(i) may take, [1, depth(i)], for each space i outside F."""
-    ds = depths(sp)
-    return {i: range(1, ds[i - 1] + 1) for i in range(1, sp.n + 1) if i not in sp.F}
-
-
 def _gbsps_over(sp: SpacedParen) -> Iterator[GBsp]:
-    """Every g on the balanced `sp`, in lexicographic order of g."""
-    ranges = _g_ranges(sp)
-    for combo in itertools.product(*ranges.values()):
-        yield GBsp(sp, dict(zip(ranges, combo)))
+    """Every g on the balanced `sp`, g(i) in [1, depth(i)] for each space i
+    outside F, in lexicographic order of g."""
+    free = [i for i in range(1, sp.n + 1) if i not in sp.F]
+    ds = depths(sp)
+    for combo in itertools.product(*(range(1, ds[i - 1] + 1) for i in free)):
+        yield GBsp(sp, dict(zip(free, combo)))
 
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:

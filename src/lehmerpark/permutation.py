@@ -96,14 +96,15 @@ class InversionTable:
 
     @classmethod
     def from_text(cls, text: str) -> "InversionTable":
-        return cls(_parse_int_word(text, allow_zero=True))
+        return cls(_parse_int_word(text))
 
     def to_json_obj(self) -> list[int]:
         return list(self.entries)
 
 
-def _parse_int_word(text: str, allow_zero: bool = False) -> tuple[int, ...]:
-    """Comma-separated integers; a bare digit string is one value per digit (n <= 9)."""
+def _parse_int_word(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a bare digit string is one value per digit (n <= 9).
+    Entries are range-checked by the constructor that takes them."""
     text = text.strip().strip("()")
     if not text:
         return ()
@@ -115,9 +116,6 @@ def _parse_int_word(text: str, allow_zero: bool = False) -> tuple[int, ...]:
         if not token or not (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
             raise ParseError(f"bad integer {token!r} at position {pos}", position=pos)
         values.append(int(token))
-    if not allow_zero and any(v < 1 for v in values):
-        bad = next(i for i, v in enumerate(values, start=1) if v < 1)
-        raise ParseError(f"value at position {bad} must be positive", position=bad)
     return tuple(values)
 
 

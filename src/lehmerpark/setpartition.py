@@ -60,8 +60,7 @@ class SetPartition:
             if not m:
                 raise ParseError(f"bad block {chunk!r} at position {pos}", position=pos)
             blocks.append(tuple(int(x) for x in m.group(1).split(",") if x.strip()))
-        n = max((x for b in blocks for x in b), default=0)
-        return cls(n, tuple(blocks))
+        return cls(sum(map(len, blocks)), tuple(blocks))  # a partition of [n] has n members
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}

@@ -242,6 +242,24 @@ def test_parse_error_carries_position(capsys):
     assert err["code"] == "parse" and err["position"] == 3
 
 
+def test_malformed_json_error_carries_position(capsys):
+    err = json.loads(run_cli(capsys, "phi", "[1,2,3", expect=1).err)
+    assert err["code"] == "parse" and err["position"] == 7
+
+
+@pytest.mark.parametrize("verb, text, json_text", [
+    (("park",), "0,1", "[0,1]"),
+    (("park",), "3,-1,1", "[3,-1,1]"),
+    (("invtable", "from-table"), "0,-1", "[0,-1]"),
+    (("to-gbsp",), "0,1", "[0,1]"),
+    (("from-partition",), "{1,3}", '{"blocks":[[1,3]]}'),
+], ids=["park-zero", "park-negative", "table-negative", "perm-zero", "partition-gap"])
+def test_text_and_json_forms_give_one_error(capsys, verb, text, json_text):
+    # the constructor range-checks both forms, so neither reader may pre-empt it
+    by_text = run_cli(capsys, *verb, text, expect=1).err
+    assert by_text == run_cli(capsys, *verb, json_text, expect=1).err
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ["no-such-verb"],

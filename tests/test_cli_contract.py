@@ -169,11 +169,17 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
         cls(*args)
 
 
-def _limit_memory():
-    import resource
-
-    limit = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def _run_limited(argv, limit):
+    """One CLI run in a subprocess whose address space is capped at `limit` bytes."""
+    resource = pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lehmerpark.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -182,14 +188,13 @@ def _limit_memory():
     ("from-gbsp", '{"n":300000000,"F":[1],"L":[300000000],"g":{}}'),
 ], ids=["partition", "fiber", "gbsp"])
 def test_huge_claimed_n_fails_fast_with_one_json_error(argv):
-    pytest.importorskip("resource")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "lehmerpark.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_memory,
-    )
+    done = _run_limited(argv, 1 << 30)
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()
     assert set(json.loads(line)) >= {"error", "code"}
+
+
+def test_huge_balanced_fiber_count_needs_constant_memory():
+    # valid input with fiber size 1: the product of depths must not hold a value per space
+    done = _run_limited(("fiber", "--count", '{"n":5000000,"F":[1],"L":[5000000]}'), 256 << 20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")

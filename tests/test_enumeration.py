@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import lehmerpark.enumeration as enumeration
 from lehmerpark.enumeration import (
     VerificationReport,
     all_lehmer,
@@ -18,12 +19,20 @@ from lehmerpark.enumeration import (
     verify,
 )
 from lehmerpark.paren import SpacedParen, enumerate_bsps
-from lehmerpark.parking import PrefTuple, park
+from lehmerpark.parking import ParkOutcome, PrefTuple, park
 from lehmerpark.setpartition import SetPartition
 
 # frozen reference values, copied by hand
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
+# objects_checked of every check at n_max = 5: the sizes of the families each one walks,
+# e.g. lemma1.2 parks the 0! + 1! + ... + 5! = 154 staircase tuples
+OBJECTS_AT_5 = {
+    "lemma1.2": 154, "thm2.4": 152, "lemma3.4": 76, "lemma3.5": 76, "lemma3.7": 343,
+    "lemma3.9": 76, "cor3.10": 141, "lemma3.12": 152, "lemma3.13": 76, "lemma3.14": 65,
+    "cor3.15": 141, "lemma3.16": 152, "thm3.1": 152, "prop4.1": 65, "lemma4.2": 65,
+    "thm4.3": 130,
+}
 
 
 def naive_outcome_words(n):
@@ -171,6 +180,56 @@ def test_every_check_passes_at_its_default_n_max(theorem):
     assert report.seconds >= 0
     smaller = verify(theorem, n_max=4)
     assert smaller.passed and smaller.n_max == 4
+
+
+def test_objects_checked_at_n_max_5():
+    assert {theorem: verify(theorem, 5).objects_checked for theorem in theorem_ids()} == OBJECTS_AT_5
+
+
+def test_failing_check_reports_every_object(monkeypatch):
+    monkeypatch.setattr(enumeration, "park", lambda a: ParkOutcome(failed_car=1))
+    report = verify("lemma1.2", 3)
+    assert report.objects_checked == 10
+    assert report.discrepancies == (
+        "n=0: parking failed for staircase tuple ()",
+        "n=1: parking failed for staircase tuple (1,)",
+        "n=2: parking failed for staircase tuple (1, 1)",
+        "n=2: parking failed for staircase tuple (2, 1)",
+        "n=3: parking failed for staircase tuple (1, 1, 1)",
+        "n=3: parking failed for staircase tuple (1, 2, 1)",
+        "n=3: parking failed for staircase tuple (2, 1, 1)",
+        "n=3: parking failed for staircase tuple (2, 2, 1)",
+        "n=3: parking failed for staircase tuple (3, 1, 1)",
+        "n=3: parking failed for staircase tuple (3, 2, 1)",
+    )
+
+    monkeypatch.setattr(enumeration, "is_balanced", lambda sp: False)
+    report = verify("lemma3.5", 3)
+    assert report.objects_checked == 9
+    assert report.discrepancies == (
+        "n=0: arms/legs of outcome () are not balanced",
+        "n=1: arms/legs of outcome (1,) are not balanced",
+        "n=2: arms/legs of outcome (1, 2) are not balanced",
+        "n=2: arms/legs of outcome (2, 1) are not balanced",
+        "n=3: arms/legs of outcome (1, 2, 3) are not balanced",
+        "n=3: arms/legs of outcome (2, 1, 3) are not balanced",
+        "n=3: arms/legs of outcome (2, 3, 1) are not balanced",
+        "n=3: arms/legs of outcome (3, 1, 2) are not balanced",
+        "n=3: arms/legs of outcome (3, 2, 1) are not balanced",
+    )
+
+
+def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
+    monkeypatch.setattr(enumeration, "depth_at", lambda diagram, i: 1)
+    monkeypatch.setattr(enumeration, "depth", lambda sp, i: 0)
+    report = verify("lemma3.4", 3)
+    assert report.objects_checked == 9
+    assert report.discrepancies == tuple(
+        f"n={n}: outcome {w} space {i}: box count 1 != paren depth 0"
+        for n in range(4)
+        for w in sorted(naive_outcome_words(n))
+        for i in range(1, n + 1)
+    )
 
 
 def test_report_json_shape():

@@ -47,7 +47,7 @@ def test_text_forms():
     assert str(b) == "{1,4}|{2,3,6}|{5}"
     assert SetPartition.from_text(str(b)) == b
     with pytest.raises(ValueError):
-        SetPartition.from_text("{1,4}|{2,6}")  # n inferred as 6 but 3 and 5 missing
+        SetPartition.from_text("{1,4}|{2,6}")  # n inferred as 4 but 6 is beyond it
 
 
 def test_json_roundtrip_and_inferred_n():
