@@ -96,21 +96,30 @@ def _inputs(value: str | None) -> Iterator[str]:
             yield line
 
 
-def _int_word(text: str, *keys: str) -> list | tuple:
-    """The integers of a permutation, preference tuple or inversion table: a JSON
-    array, a JSON object holding one under the first of `keys` it has, or the
-    comma or digit text form.  The constructor checks each entry."""
+def _int_word(text: str, make, *keys: str):
+    """`make` of the integers of a permutation, preference tuple or inversion table:
+    a JSON array, a JSON object holding one under the first of `keys` it has, or the
+    comma or digit text form.  `make` checks each entry."""
     text = text.strip()
-    if not text.startswith(("[", "{")):
-        return _parse_int_word(text)
-    value = _loads(text)
+    if text.startswith(("[", "{")):
+        return _json_word(_loads(text), make, *keys)
+    word = _parse_int_word(text)
+    try:
+        return make(word)
+    except ValueError as exc:
+        if len(word) > 1 and "," not in text:  # the digit form was read: say so
+            exc.args = (f"{exc}; the digit string {text!r} is read one digit per entry",)
+        raise
+
+
+def _json_word(value, make, *keys: str):
     if isinstance(value, dict):
         value = next((value[key] for key in keys if key in value), value)
-    return _json_array(value, "the integers")
+    return make(_json_array(value, "the integers"))
 
 
 def _read_perm(text: str) -> Permutation:
-    return Permutation(_int_word(text, "outcome", "perm"))
+    return _int_word(text, Permutation, "outcome", "perm")
 
 
 def _read_outcome(text: str) -> OutcomePermutation:
@@ -118,7 +127,7 @@ def _read_outcome(text: str) -> OutcomePermutation:
 
 
 def _read_prefs(text: str) -> PrefTuple:
-    return PrefTuple(_int_word(text))
+    return _int_word(text, PrefTuple)
 
 
 def _read_paren(text: str) -> SpacedParen | GBsp:
@@ -144,10 +153,14 @@ def _read_partition(text: str) -> SetPartition:
 
 
 def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
+    """A diagram exactly when the value is a JSON object with a "points" key."""
     text = text.strip()
-    if text.startswith("{") and "points" in text:
-        return PartialArmLegDiagram.from_json_obj(_loads(text))
-    return _read_perm(text)
+    if not text.startswith("{"):
+        return _read_perm(text)
+    value = _loads(text)
+    if "points" in value:
+        return PartialArmLegDiagram.from_json_obj(value)
+    return _json_word(value, Permutation, "outcome", "perm")
 
 
 def _blocks(b: SetPartition) -> dict:
@@ -166,7 +179,7 @@ _TRANSFORMS = {
     "park": (_read_prefs, _park),
     "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
     "from-table": (
-        lambda text: InversionTable(_int_word(text, "table")),
+        lambda text: _int_word(text, InversionTable, "table"),
         lambda t: {"perm": from_inversion_table(t).to_json_obj()},
     ),
     "phi": (_read_outcome, lambda p: phi(p).to_json_obj()),

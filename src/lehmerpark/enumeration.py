@@ -36,7 +36,7 @@ from .bijection import (
     phi_prime,
     phi_prime_inv,
 )
-from .paren import GBsp, depth, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
+from .paren import GBsp, SpacedParen, depth, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
 from .parking import PrefTuple, is_parking_function, park
 from .permutation import Permutation, _contains_132, _contains_armleg
 from .setpartition import enumerate_partitions, from_gbsp, min_max, to_gbsp
@@ -168,21 +168,18 @@ class VerificationReport:
 # per-theorem checks; each returns (objects examined, discrepancy strings)
 
 
-def _perm_words(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
+def _avoiders(n: int, contains: Callable[[tuple[int, ...]], bool]) -> set[tuple[int, ...]]:
+    # the words of [n] in which `contains` finds no pattern
+    return {w for w in itertools.permutations(range(1, n + 1)) if not contains(w)}
 
 
-def _avoider_words_armleg(n: int) -> set[tuple[int, ...]]:
-    return {w for w in _perm_words(n) if not _contains_armleg(w)}
-
-
-def _avoider_words_132(n: int) -> set[tuple[int, ...]]:
-    return {w for w in _perm_words(n) if not _contains_132(w)}
+def _weakly_decreasing(n: int) -> Iterator[tuple[int, ...]]:
+    # the C(2n - 1, n) weakly decreasing tuples over [n], in decreasing lexicographic order
+    return itertools.combinations_with_replacement(range(n, 0, -1), n)
 
 
 def _weakly_decreasing_lehmer(n: int) -> Iterator[PrefTuple]:
-    # weakly decreasing tuples in decreasing lexicographic order, kept when staircase
-    for prefs in itertools.combinations_with_replacement(range(n, 0, -1), n):
+    for prefs in _weakly_decreasing(n):
         if all(v <= n - i for i, v in enumerate(prefs)):
             yield PrefTuple(prefs)
 
@@ -209,7 +206,7 @@ def _check_lemma1_2(n: int):
 
 def _check_thm2_4(n: int):
     parked = outcome_words(n)
-    avoiders = _avoider_words_armleg(n)
+    avoiders = _avoiders(n, _contains_armleg)
     bad = [
         f"n={n}: {w} parked but contains the arm-leg pattern" for w in sorted(parked - avoiders)
     ] + [
@@ -229,7 +226,7 @@ def _check_lemma3_4(n: int):
                     f"{depth_at(diagram, i)} != paren depth {depth(sp, i)}"
                 )
 
-    return _each(sorted(outcome_words(n)), problems)
+    return _each(sorted(iter_outcome_words(n)), problems)
 
 
 def _check_lemma3_5(n: int):
@@ -237,46 +234,35 @@ def _check_lemma3_5(n: int):
         if not is_balanced(arms_legs(peaks(Permutation(w)))):
             yield f"n={n}: arms/legs of outcome {w} are not balanced"
 
-    return _each(sorted(outcome_words(n)), problems)
+    return _each(sorted(iter_outcome_words(n)), problems)
 
 
 def _all_partial_diagrams(n: int) -> Iterator[PartialArmLegDiagram]:
-    # column-by-column choice of at most one point at or above the antidiagonal
-    pts: list[GridPoint] = []
-    used_rows: set[int] = set()
-
-    def go(c: int) -> Iterator[PartialArmLegDiagram]:
-        if c > n:
-            yield PartialArmLegDiagram(n, frozenset(pts))
-            return
-        yield from go(c + 1)
-        for r in range(n - c + 1, n + 1):
-            if r not in used_rows:
-                pts.append(GridPoint(c, r))
-                used_rows.add(r)
-                yield from go(c + 1)
-                pts.pop()
-                used_rows.remove(r)
-
-    yield from go(1)
+    # one layer per column: every choice of rows for columns 1..c, 0 for no point;
+    # column c holds no point or one in an unused row at or above the antidiagonal
+    layer: list[tuple[int, ...]] = [()]
+    for c in range(1, n + 1):
+        choices = (0, *range(n - c + 1, n + 1))
+        layer = [rows + (r,) for rows in layer for r in choices if not r or r not in rows]
+    for rows in layer:
+        points = frozenset(GridPoint(c, r) for c, r in enumerate(rows, start=1) if r)
+        yield PartialArmLegDiagram(n, points)
 
 
 def _check_lemma3_7(n: int):
-    groups: dict[tuple, list[PartialArmLegDiagram]] = {}
+    groups: dict[SpacedParen, list[PartialArmLegDiagram]] = {}
     count = 0
     for t in _all_partial_diagrams(n):
         count += 1
-        if is_intersecting(t):
-            continue
-        sp = arms_legs(t)
-        groups.setdefault((tuple(sorted(sp.F)), tuple(sorted(sp.L))), []).append(t)
+        if not is_intersecting(t):
+            groups.setdefault(arms_legs(t), []).append(t)
     bad = []
     for sp in enumerate_bsps(n):
         count += 1
         constructed = peaks_from_pairs(matching_pairs(sp), n)
         if arms_legs(constructed) != sp:
             bad.append(f"n={n}: pairs of {sp!r} do not reproduce its arms and legs")
-        candidates = groups.get((tuple(sorted(sp.F)), tuple(sorted(sp.L))), [])
+        candidates = groups.get(sp, [])
         if len(candidates) != 1 or candidates[0] != constructed:
             bad.append(
                 f"n={n}: {len(candidates)} non-intersecting diagrams share arms/legs "
@@ -314,7 +300,7 @@ def _fiber_census(n: int, images, noun: str, fiber_of: str = ""):
 
 
 def _check_cor3_10(n: int):
-    outcomes = (OutcomePermutation(Permutation(w)) for w in outcome_words(n))
+    outcomes = (OutcomePermutation(Permutation(w)) for w in iter_outcome_words(n))
     return _fiber_census(n, map(phi, outcomes), "outcomes", fiber_of="fiber of ")
 
 
@@ -334,7 +320,7 @@ def _round_trips(n: int, objects, there, back, label):
 
 
 def _check_lemma3_12(n: int):
-    outcomes = (OutcomePermutation(Permutation(w)) for w in sorted(outcome_words(n)))
+    outcomes = (OutcomePermutation(Permutation(w)) for w in sorted(iter_outcome_words(n)))
     return _round_trips(n, outcomes, phi_prime, phi_prime_inv, lambda p: f"outcome {p.word}")
 
 
@@ -366,7 +352,7 @@ def _check_lemma3_16(n: int):
 
 
 def _check_thm3_1(n: int):
-    outcomes = sorted(outcome_words(n))
+    outcomes = sorted(iter_outcome_words(n))
     partitions = list(enumerate_partitions(n))
     expected = bell(n)
     bad = []
@@ -416,11 +402,7 @@ def _check_thm4_3(n: int):
     expected = catalan(n)
     if len(wd) != expected:
         bad.append(f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}")
-    wd_parking = {
-        tuple(reversed(combo))
-        for combo in itertools.combinations_with_replacement(range(1, n + 1), n)
-        if is_parking_function(PrefTuple(tuple(reversed(combo))))
-    }
+    wd_parking = {prefs for prefs in _weakly_decreasing(n) if is_parking_function(PrefTuple(prefs))}
     if {a.prefs for a in wd} != wd_parking:
         bad.append(
             f"n={n}: weakly decreasing staircase tuples differ from weakly "
@@ -429,7 +411,7 @@ def _check_thm4_3(n: int):
     image = {park(a).outcome.word for a in wd}
     if len(image) != len(wd):
         bad.append(f"n={n}: parking is not injective on weakly decreasing tuples")
-    avoiders = _avoider_words_132(n)
+    avoiders = _avoiders(n, _contains_132)
     for w in sorted(image - avoiders):
         bad.append(f"n={n}: weakly decreasing outcome {w} contains 132")
     for w in sorted(avoiders - image):

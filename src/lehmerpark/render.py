@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .armleg import PartialArmLegDiagram, arms_legs, peaks
+from .armleg import PartialArmLegDiagram, peaks
 from .paren import GBsp, SpacedParen, render as render_paren_string
 from .permutation import Permutation
 

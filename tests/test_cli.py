@@ -56,6 +56,8 @@ def test_invtable_both_directions(capsys):
     assert out == '{"table":[4,1,3,1,0,0]}\n'
     out = run_cli(capsys, "invtable", "from-table", "[4,1,3,1,0,0]").out
     assert out == '{"perm":[5,2,4,6,1,3]}\n'
+    # a digit string is one entry per digit
+    assert run_cli(capsys, "invtable", "from-table", "100").out == '{"perm":[2,1,3]}\n'
 
 
 def test_invtable_pipeline_feeds_itself(capsys, monkeypatch):
@@ -210,6 +212,12 @@ def test_render_armleg_diagram_json(capsys):
     assert out == "o . .\n. - o\n. . |\n"
 
 
+def test_render_armleg_reads_a_diagram_only_under_a_points_key(capsys):
+    # "points" as a value, not a key, leaves the object an outcome
+    drawn = run_cli(capsys, "render", "armleg", '{"outcome":[2,1],"note":"points"}').out
+    assert drawn == run_cli(capsys, "render", "armleg", "21").out
+
+
 def test_render_svg_after_flags(capsys):
     out = run_cli(capsys, "render", "armleg", "--format", "svg", "3,4,1,5,2,6").out
     root = ET.fromstring(out)
@@ -258,6 +266,20 @@ def test_text_and_json_forms_give_one_error(capsys, verb, text, json_text):
     # the constructor range-checks both forms, so neither reader may pre-empt it
     by_text = run_cli(capsys, *verb, text, expect=1).err
     assert by_text == run_cli(capsys, *verb, json_text, expect=1).err
+
+
+@pytest.mark.parametrize("verb, message, code", [
+    ("to-partition", "not a permutation of [2]: (1, 0)", "parse"),
+    ("park", "preference 2 is 0, outside [1, 2]", "domain"),
+], ids=["perm", "prefs"])
+def test_refused_digit_string_error_names_the_digit_form(capsys, verb, message, code):
+    err = json.loads(run_cli(capsys, verb, "10", expect=1).err)
+    assert err == {
+        "error": f"{message}; the digit string '10' is read one digit per entry",
+        "code": code,
+    }
+    # the comma form of the same entries keeps the constructor's own message
+    assert json.loads(run_cli(capsys, verb, "1,0", expect=1).err) == {"error": message, "code": code}
 
 
 def test_usage_errors_exit_1(capsys):

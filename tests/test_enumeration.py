@@ -93,6 +93,30 @@ def test_every_claimed_outcome_parks():
             assert result.ok and result.outcome.word == w
 
 
+def test_all_partial_diagrams_are_the_bell_many_rook_placements():
+    # a rook placement at or above the antidiagonal is a set partition of [n + 1]
+    for n in range(8):
+        diagrams = list(enumeration._all_partial_diagrams(n))
+        assert len(diagrams) == len(set(diagrams)) == BELL[n + 1], f"n={n}"
+        for t in diagrams:
+            cols = [c for c, _ in t.points]
+            rows = [r for _, r in t.points]
+            assert len(set(cols)) == len(cols) and len(set(rows)) == len(rows), t
+            assert all(1 <= c <= n and n - c + 1 <= r <= n for c, r in t.points), t
+
+
+def test_a_repeated_outcome_fails_the_bell_count(monkeypatch):
+    walk = enumeration.iter_outcome_words
+
+    def walk_repeating_at_3(n):
+        yield from walk(n)
+        if n == 3:
+            yield (1, 2, 3)
+
+    monkeypatch.setattr(enumeration, "iter_outcome_words", walk_repeating_at_3)
+    assert verify("thm3.1", 3).discrepancies == ("n=3: 6 outcomes, Bell number is 5",)
+
+
 def test_outcome_set_distinct_sizes():
     for n in range(8):
         assert len(outcome_set(n)) == BELL[n]

@@ -1,4 +1,5 @@
-"""The runtime-dependency promise: the package imports only the standard library."""
+"""Static guards over the package source: the runtime-dependency promise (the
+package imports only the standard library), no unused import, no recursion."""
 
 import ast
 import pathlib
@@ -7,12 +8,17 @@ import sys
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lehmerpark"
 
 
-def test_every_import_is_package_relative_or_stdlib():
+def _parsed():
+    """(path, syntax tree) of every module under src/lehmerpark."""
     modules = sorted(SOURCE.rglob("*.py"))
     assert modules
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in modules]
+
+
+def test_every_import_is_package_relative_or_stdlib():
     outside = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _parsed():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -24,3 +30,48 @@ def test_every_import_is_package_relative_or_stdlib():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_imported_name_is_used_or_exported():
+    # __init__.py imports only to re-export, so it is exempt
+    unused = []
+    for path, tree in _parsed():
+        if path.name == "__init__.py":
+            continue
+        imported = []
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unused == []
+
+
+def _callee(func: ast.expr) -> str | None:
+    # the name a call reaches by: f(...), self.f(...) or cls.f(...)
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
+def test_no_function_calls_itself():
+    # a recursive function fails past the recursion limit, whatever n the caller picks
+    recursive = []
+    for path, tree in _parsed():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and _callee(node.func) == fn.name
+                for node in ast.walk(fn)
+            ):
+                recursive.append(f"{path.name}: {fn.name}")
+    assert recursive == []
