@@ -8,7 +8,9 @@ makes the map invertible.  Both maps sweep the spaces 1..n once, space i
 standing for row n - i + 1 from the top: a space in F holds a peak, any other
 takes the g(i)-th of the depth(i) empty columns j < i, and column i stays
 empty unless i is in L.  Composing with the partition maps gives the
-bijection outcomes <-> set partitions.
+bijection outcomes <-> set partitions.  The sweeps run on plain (F, L, g), g
+aligned to spaces; the public maps build and check the dataclasses, and the
+composite maps chain the sweeps with no GBsp in between.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .armleg import arms_legs, peaks
-from .paren import GBsp, SpacedParen, _gbsps_over, _iter_depths, is_balanced
+from .paren import GBsp, SpacedParen, _gbsp, _gbsps_over, _iter_depths, _plain, is_balanced
 from .permutation import Permutation, contains_armleg_pattern
-from .setpartition import SetPartition, from_gbsp, to_gbsp
+from .setpartition import SetPartition, _from_gbsp, _to_gbsp
 
 __all__ = [
     "OutcomePermutation",
@@ -63,14 +65,18 @@ def phi(p: OutcomePermutation) -> SpacedParen:
 
 def phi_prime(p: OutcomePermutation) -> GBsp:
     """phi plus g: the entry of row n - i + 1, for each space i outside F, sits in
-    the g(i)-th column still empty.  The entry v in column c is a peak iff
-    v >= n - c + 1, which puts n - v + 1 in F and c in L."""
-    word = p.word
+    the g(i)-th column still empty."""
+    return _gbsp(p.n, *_phi_prime(p.word))
+
+
+def _phi_prime(word: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], list[int]]:
+    """(F, L, g) of the outcome `word`, g aligned to spaces and 0 on F.  The entry v
+    in column c is a peak iff v >= n - c + 1, which puts n - v + 1 in F and c in L."""
     n = len(word)
     L = frozenset(c for c, v in enumerate(word, start=1) if v >= n - c + 1)
     F = frozenset(n - word[c - 1] + 1 for c in L)
     col_of_row = {v: c for c, v in enumerate(word, start=1)}
-    g: dict[int, int] = {}
+    g = [0] * n
     empty: list[int] = []  # columns j < i holding neither a peak nor a higher row
     depth = 0
     for i in range(1, n + 1):
@@ -79,21 +85,24 @@ def phi_prime(p: OutcomePermutation) -> GBsp:
         else:
             assert len(empty) == depth, "empty-column count equals the depth"
             k = empty.index(col_of_row[n - i + 1])
-            g[i] = k + 1
+            g[i - 1] = k + 1
             del empty[k]
         if i in L:
             depth -= 1
         else:
             empty.append(i)
-    return GBsp(SpacedParen(n, F, L), g)
+    return F, L, g
 
 
 def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
-    """Rebuild the outcome in one sweep.  Parens are matched on a stack, and the
-    pair (f, l) puts the peak of row n - f + 1 in column l; each space i outside
-    F puts row n - i + 1 in the g(i)-th column still empty."""
-    n = gb.n
-    F, L, g = gb.base.F, gb.base.L, gb.g_map
+    """The outcome whose phi_prime is `gb`, certified at construction."""
+    return OutcomePermutation(Permutation(_phi_prime_inv(*_plain(gb))))
+
+
+def _phi_prime_inv(n: int, F, L, g) -> tuple[int, ...]:
+    """Rebuild the outcome word in one sweep.  Parens are matched on a stack, and
+    the pair (f, l) puts the peak of row n - f + 1 in column l; each space i
+    outside F puts row n - i + 1 in the g(i)-th column still empty."""
     word = [0] * (n + 1)
     opened: list[int] = []  # spaces in F whose paren is still open
     empty: list[int] = []  # columns j < i holding neither a peak nor a higher row
@@ -102,12 +111,12 @@ def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
             opened.append(i)
         else:
             assert len(empty) == len(opened), "empty-column count equals the depth"
-            word[empty.pop(g[i] - 1)] = n - i + 1
+            word[empty.pop(g[i - 1] - 1)] = n - i + 1
         if i in L:
             word[i] = n - opened.pop() + 1
         else:
             empty.append(i)
-    return OutcomePermutation(Permutation(tuple(word[1:])))
+    return tuple(word[1:])
 
 
 def fiber_size(sp: SpacedParen) -> int:
@@ -126,8 +135,10 @@ def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:
 
 
 def outcome_to_partition(p: OutcomePermutation) -> SetPartition:
-    return from_gbsp(phi_prime(p))
+    """from_gbsp(phi_prime(p)), with no GBsp built in between."""
+    return SetPartition(p.n, _from_gbsp(p.n, *_phi_prime(p.word)))
 
 
 def partition_to_outcome(b: SetPartition) -> OutcomePermutation:
-    return phi_prime_inv(to_gbsp(b))
+    """phi_prime_inv(to_gbsp(b)), with no GBsp built in between."""
+    return OutcomePermutation(Permutation(_phi_prime_inv(b.n, *_to_gbsp(b.n, b.blocks))))

@@ -58,8 +58,12 @@ from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
 from .setpartition import SetPartition, enumerate_partitions
 
 
+# built once: json.dumps with non-default separators builds a new encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _emit(obj) -> None:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 from .errors import GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array
 from .permutation import _armleg_crossing
@@ -53,8 +53,8 @@ class SpacedParen:
         if _int(self.n, "n") < 0:
             raise ValueError("n must be nonnegative")
         for name, members in (("F", F), ("L", L)):
-            bad = sorted(i for i in members if not 1 <= i <= self.n)
-            if bad:
+            if members and (min(members) < 1 or max(members) > self.n):
+                bad = sorted(i for i in members if not 1 <= i <= self.n)
                 raise ValueError(f"{name} contains spaces outside [1, {self.n}]: {bad}")
         if len(F) != len(L):
             raise ValueError(f"|F| = {len(F)} differs from |L| = {len(L)}")
@@ -196,14 +196,26 @@ class GBsp:
             raise GbspError(
                 f"unexpected g entry for space {extra[0]}", code="g-extra", space=extra[0]
             )
-        ds = depths(self.base)
-        if not all(d >= 1 for d in ds):
-            raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
-        for i, v in g_pairs:
-            if not 1 <= v <= ds[i - 1]:
-                raise GbspError(
-                    f"g({i}) = {v} outside [1, {ds[i - 1]}]", code="g-out-of-range", space=i
-                )
+        # one depth sweep: balance fails at once, while the first g out of range
+        # is kept and reported only once the whole base is known to be balanced.
+        # The depth is at least 1 on F and drops by at most 1 per space, so it can
+        # reach 0 only outside F, where no g value fits in [1, 0].
+        L = self.base.L
+        out_of_range = None
+        d = 0
+        for i in range(1, n + 1):
+            if i in F:
+                d += 1
+            elif not 1 <= g[i] <= d:
+                if d < 1:
+                    raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
+                if out_of_range is None:
+                    out_of_range = i, d
+            if i in L:
+                d -= 1
+        if out_of_range is not None:
+            i, d = out_of_range
+            raise GbspError(f"g({i}) = {g[i]} outside [1, {d}]", code="g-out-of-range", space=i)
 
     @property
     def n(self) -> int:
@@ -229,6 +241,19 @@ class GBsp:
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _gbsp(n: int, F, L, g) -> GBsp:
+    """The checked GBsp of a plain (F, L, g), g aligned to spaces and 0 on F."""
+    return GBsp(SpacedParen(n, F, L), [(i, v) for i, v in enumerate(g, start=1) if i not in F])
+
+
+def _plain(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
+    """(n, F, L, g) of `gb`, g aligned to spaces and 0 on F."""
+    g = [0] * gb.n
+    for i, v in gb.g:
+        g[i - 1] = v
+    return gb.n, gb.base.F, gb.base.L, g
 
 
 _TOKEN_RE = re.compile(r"^(\()?(_|\d+)(\))?$")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .armleg import PartialArmLegDiagram, peaks
 from .paren import GBsp, SpacedParen, render as render_paren_string
 from .permutation import Permutation
@@ -12,6 +10,12 @@ __all__ = ["armleg_ascii", "armleg_svg", "paren_ascii", "paren_svg"]
 
 _CELL = 40
 _MARGIN = 30
+
+
+def _escape(text: str) -> str:
+    """XML character data, as xml.sax.saxutils.escape gives it; that module's
+    import would load urllib.request, http, ssl and email into every CLI run."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _diagram_parts(source: Permutation | PartialArmLegDiagram):
@@ -147,9 +151,9 @@ def paren_svg(x: SpacedParen | GBsp) -> str:
             f'viewBox="0 0 {width} {height}">',
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
             f'<text x="{_MARGIN}" y="{_MARGIN + char}" font-family="monospace" '
-            f'font-size="{char + 4}" xml:space="preserve">{escape(top)}</text>',
+            f'font-size="{char + 4}" xml:space="preserve">{_escape(top)}</text>',
             f'<text x="{_MARGIN}" y="{_MARGIN + int(2.5 * char)}" font-family="monospace" '
-            f'font-size="{char + 4}" fill="#555555" xml:space="preserve">{escape(labels)}</text>',
+            f'font-size="{char + 4}" fill="#555555" xml:space="preserve">{_escape(labels)}</text>',
             "</svg>",
         ]
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParseError, _int, _ints, _json_array
-from .paren import GBsp, SpacedParen
+from .paren import GBsp, SpacedParen, _gbsp, _plain
 
 __all__ = [
     "SetPartition",
@@ -59,7 +59,13 @@ class SetPartition:
             m = re.fullmatch(r"\s*\{([0-9,\s]*)\}\s*", chunk)
             if not m:
                 raise ParseError(f"bad block {chunk!r} at position {pos}", position=pos)
-            blocks.append(tuple(int(x) for x in m.group(1).split(",") if x.strip()))
+            body = m.group(1)
+            entries = [x.strip() for x in body.split(",")] if body.strip() else []
+            # the pattern admits only ASCII digits, commas and whitespace
+            bad = next((x for x in entries if not x.isdigit()), None)
+            if bad is not None:
+                raise ParseError(f"bad entry {bad!r} in block {pos}", position=pos)
+            blocks.append(tuple(map(int, entries)))
         return cls(sum(map(len, blocks)), tuple(blocks))  # a partition of [n] has n members
 
     def to_json_obj(self) -> dict:
@@ -87,48 +93,59 @@ def min_max(b: SetPartition) -> SpacedParen:
     >>> (sorted(sp.F), sorted(sp.L))
     ([1, 2, 5], [4, 5, 6])
     """
-    F = frozenset(blk[0] for blk in b.blocks)
-    L = frozenset(blk[-1] for blk in b.blocks)
-    return SpacedParen(b.n, F, L)
+    return SpacedParen(b.n, *_min_max(b.blocks))
+
+
+def _min_max(blocks) -> tuple[frozenset[int], frozenset[int]]:
+    return frozenset(blk[0] for blk in blocks), frozenset(blk[-1] for blk in blocks)
 
 
 def to_gbsp(b: SetPartition) -> GBsp:
     """min_max(b) plus, for each non-minimum element i, the rank of its block
-    among the blocks open at i (min < i <= max), ordered by minimum.  One sweep
-    keeps the minima of the open blocks."""
-    base = min_max(b)
-    block_min = {x: blk[0] for blk in b.blocks for x in blk}
-    g: dict[int, int] = {}
+    among the blocks open at i (min < i <= max), ordered by minimum."""
+    return _gbsp(b.n, *_to_gbsp(b.n, b.blocks))
+
+
+def _to_gbsp(n: int, blocks) -> tuple[frozenset[int], frozenset[int], list[int]]:
+    """(F, L, g) of the partition of [n] into sorted `blocks`, g aligned to spaces
+    and 0 on F.  One sweep keeps the minima of the open blocks."""
+    F, L = _min_max(blocks)
+    block_min = {x: blk[0] for blk in blocks for x in blk}
+    g = [0] * n
     opened: list[int] = []  # minima of the open blocks, ascending
-    for i in range(1, b.n + 1):
-        if i in base.F:
+    for i in range(1, n + 1):
+        if i in F:
             opened.append(i)
         else:
-            g[i] = opened.index(block_min[i]) + 1
-        if i in base.L:
+            g[i - 1] = opened.index(block_min[i]) + 1
+        if i in L:
             opened.remove(block_min[i])
-    return GBsp(base, g)
+    return F, L, g
 
 
 def from_gbsp(gb: GBsp) -> SetPartition:
-    """Rebuild the partition in one sweep over 1..n.
+    """The partition whose to_gbsp is `gb`, checked at construction."""
+    return SetPartition(gb.n, _from_gbsp(*_plain(gb)))
+
+
+def _from_gbsp(n: int, F, L, g) -> tuple[tuple[int, ...], ...]:
+    """Rebuild the blocks in one sweep over 1..n.
 
     Space i opens a block when i is in F and otherwise joins the g(i)-th open
     block (by minimum); the block closes after i when i is in L.
     """
-    F, L, g = gb.base.F, gb.base.L, gb.g_map
     opened: list[list[int]] = []  # open blocks, by minimum
     closed: list[list[int]] = []
-    for i in range(1, gb.n + 1):
+    for i in range(1, n + 1):
         if i in F:
             opened.append([i])
             k = len(opened) - 1
         else:
-            k = g[i] - 1
+            k = g[i - 1] - 1
             opened[k].append(i)
         if i in L:
             closed.append(opened.pop(k))
-    return SetPartition(gb.n, tuple(tuple(blk) for blk in closed))
+    return tuple(tuple(blk) for blk in closed)
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:

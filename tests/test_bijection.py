@@ -19,7 +19,7 @@ from lehmerpark.enumeration import bell, enumerate_partitions, outcome_set, outc
 from lehmerpark.paren import GBsp, SpacedParen, depths, enumerate_bsps, enumerate_gbsps
 from lehmerpark.parking import canonical_lehmer_preimage, park
 from lehmerpark.permutation import Permutation, contains_armleg_pattern
-from lehmerpark.setpartition import SetPartition, to_gbsp
+from lehmerpark.setpartition import SetPartition, from_gbsp, to_gbsp
 
 
 def outcome(*word):
@@ -147,6 +147,15 @@ def test_partition_chain_exhaustive():
         assert images == set(enumerate_partitions(n))
 
 
+def test_composites_equal_the_composed_legs():
+    # the composite maps chain the plain sweeps; the legs build and check each GBsp
+    for n in range(9):
+        for oc in outcome_set(n):
+            assert outcome_to_partition(oc) == from_gbsp(phi_prime(oc)), oc.word
+        for b in enumerate_partitions(n):
+            assert partition_to_outcome(b) == phi_prime_inv(to_gbsp(b)), b
+
+
 def test_outcomes_are_exactly_parkable_images():
     """Each outcome permutation really arises from parking some staircase tuple."""
     for n in range(7):
@@ -213,6 +222,8 @@ def test_g_matches_literal_definition_at_n_2000(window, max_depth):
     assert max(depths(gb.base)) == max_depth
     assert gb.g_map == literal_g_of_partition(b)
     oc = partition_to_outcome(b)
+    assert oc == phi_prime_inv(gb)
+    assert outcome_to_partition(oc) == from_gbsp(phi_prime(oc)) == b
     assert phi_prime(oc).g_map == literal_g_of_outcome(oc.word)
     assert not contains_armleg_pattern(oc.perm)
     # peaks (f, l) in column order: where f drops, the later peak encloses the

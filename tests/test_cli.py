@@ -94,6 +94,25 @@ def test_from_partition_text_and_json(capsys):
     )
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("{1,,2}", "''"),
+    ("{1,2,}", "''"),
+    ("{,1,2}", "''"),
+    ("{1 2}", "'1 2'"),
+], ids=["inner", "trailing", "leading", "space-separated"])
+def test_partition_text_refuses_a_bad_entry(capsys, text, bad):
+    err = json.loads(run_cli(capsys, "from-partition", text, expect=1).err)
+    assert err == {"error": f"bad entry {bad} in block 1", "code": "parse", "position": 1}
+
+
+def test_partition_text_keeps_spaces_and_leading_zeros(capsys):
+    assert run_cli(capsys, "from-partition", " {1, 04}|{ 2,3,6 } | {05}").out == (
+        '{"outcome":[3,4,1,5,2,6]}\n'
+    )
+    err = json.loads(run_cli(capsys, "from-partition", "{1}|{2,,3}", expect=1).err)
+    assert err["position"] == 2 and err["error"] == "bad entry '' in block 2"
+
+
 def test_fiber_count_and_members(capsys):
     base = "(_ (_ _ _) (_) _)"
     assert run_cli(capsys, "fiber", "--count", base).out == "4\n"

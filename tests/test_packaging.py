@@ -1,8 +1,11 @@
-"""Static guards over the package source: the runtime-dependency promise (the
-package imports only the standard library), no unused import, no recursion."""
+"""Guards over the package source: the runtime-dependency promise (the package
+imports only the standard library), no unused import, no recursion, and no
+network or XML stack loaded by the CLI."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lehmerpark"
@@ -75,3 +78,18 @@ def test_no_function_calls_itself():
             ):
                 recursive.append(f"{path.name}: {fn.name}")
     assert recursive == []
+
+
+def test_cli_import_loads_no_network_or_xml_module():
+    # the bare interpreter already loads urllib.parse through site, so urllib is left out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, lehmerpark.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in {'http', 'email', 'ssl', 'socket', 'xml'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

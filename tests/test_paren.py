@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -155,6 +157,87 @@ def test_gbsp_validation_codes():
     assert err.value.code == "unbalanced-base"
     built = GBsp(SpacedParen(6, frozenset({1, 2, 5}), frozenset({4, 5, 6})), {3: 2, 4: 1, 6: 1})
     assert built.g_map == {3: 2, 4: 1, 6: 1}
+
+
+def three_pass_check(n, F, L, g_pairs):
+    """The entry checks of GBsp(SpacedParen(n, F, L), g_pairs) done in separate
+    passes: F and L in range and of one size, g matched with the spaces outside F,
+    then every depth, then balance, then the range of each g value in space order."""
+    for name, members in (("F", F), ("L", L)):
+        bad = sorted(i for i in members if not 1 <= i <= n)
+        if bad:
+            raise ValueError(f"{name} contains spaces outside [1, {n}]: {bad}")
+    if len(F) != len(L):
+        raise ValueError(f"|F| = {len(F)} differs from |L| = {len(L)}")
+    g_pairs = tuple(sorted(g_pairs))
+    g = dict(g_pairs)
+    if len(g) < len(g_pairs):
+        dup = next(i for (i, _), (j, _) in zip(g_pairs, g_pairs[1:]) if i == j)
+        raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
+    extra = [i for i in g if not 1 <= i <= n or i in F]
+    if extra or len(g) != n - len(F):
+        missing = next((i for i in range(1, n + 1) if i not in F and i not in g), None)
+        if missing is not None:
+            raise GbspError(f"missing g entry for space {missing}", code="g-missing", space=missing)
+        raise GbspError(f"unexpected g entry for space {extra[0]}", code="g-extra", space=extra[0])
+    ds = [len([f for f in F if f <= i]) - len([l for l in L if l < i]) for i in range(1, n + 1)]
+    if not all(d >= 1 for d in ds):
+        raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
+    for i, v in g_pairs:
+        if not 1 <= v <= ds[i - 1]:
+            raise GbspError(f"g({i}) = {v} outside [1, {ds[i - 1]}]", code="g-out-of-range", space=i)
+    return g_pairs
+
+
+def random_gbsp_input(rng):
+    """(n, F, L, g pairs) for n <= 6: F and L may hold spaces 0 and n + 1 or differ
+    in size, g values run from -1 to depth + 1, and a key may be missing, extra
+    (in F, or 0, or n + 1) or repeated."""
+    n = rng.randrange(7)
+    k = rng.randrange(n + 1)
+    F = set(rng.sample(range(1, n + 1), k))
+    L = set(rng.sample(range(1, n + 1), k))
+    for members in (F, L):
+        if rng.random() < 0.05:
+            members.add(rng.choice((0, n + 1)))
+        if members and rng.random() < 0.03:
+            members.discard(rng.choice(sorted(members)))
+    pairs = []
+    for i in range(1, n + 1):
+        if i not in F:
+            d = len([f for f in F if f <= i]) - len([l for l in L if l < i])
+            top = max(d, 0) + 1
+            pairs.append((i, rng.randint(1, max(d, 1)) if rng.random() < 0.8 else rng.randint(-1, top)))
+    if pairs and rng.random() < 0.1:
+        pairs.pop(rng.randrange(len(pairs)))
+    if rng.random() < 0.1:
+        pairs.append((rng.choice([0, n + 1, *F]), rng.randint(-1, 2)))
+    if pairs and rng.random() < 0.05:
+        pairs.append((rng.choice(pairs)[0], rng.randint(-1, 2)))
+    rng.shuffle(pairs)
+    return n, F, L, pairs
+
+
+def outcome_of(build):
+    try:
+        return "ok", build()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "code", None), getattr(exc, "space", None)
+
+
+def test_gbsp_check_matches_the_three_pass_check():
+    rng = random.Random(8)
+    seen = Counter()
+    for _ in range(20000):
+        n, F, L, pairs = random_gbsp_input(rng)
+        got = outcome_of(lambda: GBsp(SpacedParen(n, frozenset(F), frozenset(L)), pairs).g)
+        assert got == outcome_of(lambda: three_pass_check(n, F, L, pairs)), (n, F, L, pairs)
+        seen["ok" if got[0] == "ok" else got[2] or "spaced-paren"] += 1
+    # every kind of verdict is exercised, not only the first check to fire
+    assert set(seen) == {
+        "ok", "spaced-paren", "g-missing", "g-extra", "unbalanced-base", "g-out-of-range"
+    }, seen
+    assert min(seen.values()) >= 100, seen
 
 
 def test_gbsp_json_roundtrip():

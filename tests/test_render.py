@@ -1,9 +1,11 @@
+import itertools
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 from lehmerpark.armleg import GridPoint, PartialArmLegDiagram
 from lehmerpark.paren import GBsp, SpacedParen, parse
 from lehmerpark.permutation import Permutation
-from lehmerpark.render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
+from lehmerpark.render import _escape, armleg_ascii, armleg_svg, paren_ascii, paren_svg
 
 
 def svg_elements(text, tag):
@@ -106,3 +108,11 @@ def test_paren_svg_is_valid_xml_with_two_text_rows():
 def test_paren_svg_empty():
     root = ET.fromstring(paren_svg(SpacedParen(0, frozenset(), frozenset())))
     assert root.tag.endswith("svg")
+
+
+def test_escape_matches_the_stdlib_escape():
+    # every string of up to four characters over the three specials, an entity and text
+    for k in range(5):
+        for parts in itertools.product(["&", "<", ">", "&amp;", "a"], repeat=k):
+            text = "".join(parts)
+            assert _escape(text) == escape(text), text
