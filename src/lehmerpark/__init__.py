@@ -32,6 +32,7 @@ from .enumeration import (
     bell,
     catalan,
     iter_outcome_words,
+    outcome_peak_counts,
     outcome_set,
     outcome_words,
     theorem_ids,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .armleg import arms_legs, peaks
-from .paren import GBsp, SpacedParen, _gbsp, _gbsps_over, _iter_depths, _plain, is_balanced
+from .paren import GBsp, SpacedParen, _g_fillings, _gbsp, _iter_depths, _plain, is_balanced
 from .permutation import Permutation, contains_armleg_pattern
 from .setpartition import SetPartition, _from_gbsp, _to_gbsp
 
@@ -66,7 +66,8 @@ def phi(p: OutcomePermutation) -> SpacedParen:
 def phi_prime(p: OutcomePermutation) -> GBsp:
     """phi plus g: the entry of row n - i + 1, for each space i outside F, sits in
     the g(i)-th column still empty."""
-    return _gbsp(p.n, *_phi_prime(p.word))
+    F, L, g = _phi_prime(p.word)
+    return _gbsp(SpacedParen(p.n, F, L), g)
 
 
 def _phi_prime(word: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], list[int]]:
@@ -128,10 +129,12 @@ def fiber_size(sp: SpacedParen) -> int:
 
 
 def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:
-    """All outcomes whose arms and legs equal `sp`, in g-lexicographic order."""
+    """All outcomes whose arms and legs equal `sp`, in g-lexicographic order.
+    Each g runs through the plain sweep, with no GBsp, and each word is certified."""
     if not is_balanced(sp):
         raise ValueError("fibers are defined only for balanced parenthesizations")
-    return map(phi_prime_inv, _gbsps_over(sp))
+    words = (_phi_prime_inv(sp.n, sp.F, sp.L, g) for g in _g_fillings(sp))
+    return (OutcomePermutation(Permutation(w)) for w in words)
 
 
 def outcome_to_partition(p: OutcomePermutation) -> SetPartition:

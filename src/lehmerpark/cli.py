@@ -34,6 +34,7 @@ from .enumeration import (
     catalan,
     describe_theorem,
     iter_outcome_words,
+    outcome_peak_counts,
     theorem_ids,
     verify,
 )
@@ -252,7 +253,7 @@ def _cmd_enumerate(args) -> int:
 _COUNTS = {
     "bell": bell,
     "catalan": catalan,
-    "outcomes": lambda n: sum(1 for _ in iter_outcome_words(n)),
+    "outcomes": lambda n: sum(outcome_peak_counts(n)),
 }
 
 

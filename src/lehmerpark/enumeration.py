@@ -12,15 +12,27 @@ Each of the Bell(n) outcomes is therefore reached exactly once, with no global
 set, and the work is the sum of the Bell-sized levels rather than n!.
 `outcome_words` and `outcome_set` collect it into sets.
 
-`bell` and `catalan` are standalone recurrences (Bell triangle, Catalan
-convolution) so the counting checks do not share code with the structures they
-count.  `verify(theorem, n_max)` runs one named exhaustive check for every
-n from 0 to n_max and reports counterexamples verbatim.
+`outcome_peak_counts(n)` counts the outcomes without reaching them.  Since
+parked cars never move, the outcomes below a node of the walk depend only on
+the set of occupied spots, and the next car is that set's size plus 1.  So one
+layered pass over occupied-spot bitmasks, 2^n states in all, counts the paths
+to each set, split by the number of peaks: car k lands at or past n - k + 1.
+It makes O(2^n n) dict updates instead of visiting Bell(n) leaves.  The
+widest layer holds C(n, n // 2) sets, so n is capped at `_DP_MAX_N`.  The
+walk stays the way to list the outcomes and the oracle the count is checked
+against.
+
+`bell`, `catalan` and `_stirling_row` are standalone recurrences (Bell
+triangle, Catalan convolution, Stirling triangle) so the counting checks do
+not share code with the structures they count.  `verify(theorem, n_max)`
+runs one named exhaustive check for every n from 0 to n_max and reports
+counterexamples verbatim.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +58,7 @@ __all__ = [
     "iter_outcome_words",
     "outcome_words",
     "outcome_set",
+    "outcome_peak_counts",
     "bell",
     "catalan",
     "verify",
@@ -108,6 +121,52 @@ def outcome_set(n: int) -> set[OutcomePermutation]:
     return {OutcomePermutation(Permutation(w)) for w in iter_outcome_words(n)}
 
 
+# the widest layer of `outcome_peak_counts` holds C(n, n // 2) occupied-spot sets;
+# n = 23 peaks at 0.46 GB RSS after 31 s, and each step in n about doubles both
+_DP_MAX_N = 23
+
+
+def outcome_peak_counts(n: int) -> list[int]:
+    """Entry k is the number of outcomes of length n with k peaks; the row sums to Bell(n).
+
+    Car k is a peak when it lands at or past spot n - k + 1.  Layer k maps each
+    set of k - 1 occupied spots, a bitmask, to its path counts by number of
+    peaks, packed into one int as a polynomial in 2^width: shifting by `width`
+    adds a peak.  No count exceeds Bell(n) <= n! < 2^width, so no slot carries
+    into the next.  Car k lands on every empty spot below n - k + 1 and on the
+    first empty spot at or past it, which is the peak.
+
+    >>> outcome_peak_counts(4)
+    [0, 1, 7, 6, 1]
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > _DP_MAX_N:
+        raise ValueError(
+            f"n = {n} is past the ceiling n <= {_DP_MAX_N} of the occupied-spot count, "
+            "whose widest layer holds C(n, n // 2) sets of spots"
+        )
+    width = math.factorial(n).bit_length()
+    layer = {0: 1}  # bit s - 1 set when spot s is taken -> paths by peaks
+    for car in range(1, n + 1):
+        below = (1 << (n - car)) - 1  # the spots below the bound n - car + 1
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for taken, paths in layer.items():
+            empty = below & ~taken
+            while empty:
+                spot = empty & -empty
+                empty ^= spot
+                nxt[taken | spot] = get(taken | spot, 0) + paths
+            filled = taken | below
+            spot = (filled + 1) & ~filled  # the first empty spot at or past the bound
+            nxt[taken | spot] = get(taken | spot, 0) + (paths << width)
+        layer = nxt
+    (paths,) = layer.values()
+    slot = (1 << width) - 1
+    return [(paths >> (width * k)) & slot for k in range(n + 1)]
+
+
 def bell(n: int) -> int:
     """Number of set partitions of [n], by the Bell triangle.
 
@@ -137,6 +196,16 @@ def catalan(n: int) -> int:
     for m in range(n):
         c.append(sum(c[k] * c[m - k] for k in range(m + 1)))
     return c[n]
+
+
+def _stirling_row(n: int) -> list[int]:
+    """S(n, 0..n), the set partitions of [n] into k blocks, by the Stirling
+    triangle S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        prev = row + [0]
+        row = [0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)]
+    return row
 
 
 @dataclass(frozen=True)
@@ -419,6 +488,30 @@ def _check_thm4_3(n: int):
     return len(wd) + len(avoiders), bad
 
 
+def _row_mismatches(n: int, row: list[int], expected: list[int], source: str) -> list[str]:
+    return [
+        f"n={n}: the occupied-spot count gives {got} outcomes with {k} peaks, {source} {want}"
+        for k, (got, want) in enumerate(itertools.zip_longest(row, expected, fillvalue=0))
+        if got != want
+    ]
+
+
+def _check_stirling(n: int):
+    row = outcome_peak_counts(n)
+    bad = []
+    if sum(row) != bell(n):
+        bad.append(f"n={n}: the occupied-spot count gives {sum(row)} outcomes, Bell is {bell(n)}")
+    bad += _row_mismatches(n, row, _stirling_row(n), "S(n, k) is")
+    objects = len(row)
+    if n <= 9:  # the walk: column c is a peak iff w[c - 1] >= n - c + 1
+        walked = [0] * (n + 1)
+        for w in iter_outcome_words(n):
+            walked[sum(v >= n - c for c, v in enumerate(w))] += 1
+            objects += 1
+        bad += _row_mismatches(n, row, walked, "the walk finds")
+    return objects, bad
+
+
 _Check = Callable[[int], tuple[int, list[str]]]
 
 # theorem id -> (what the check verifies, default n_max, check)
@@ -439,6 +532,7 @@ _CHECKS: dict[str, tuple[str, int, _Check]] = {
     "prop4.1": ("weakly decreasing outcomes avoid 132", 8, _check_prop4_1),
     "lemma4.2": ("parking is injective on weakly decreasing staircase tuples", 8, _check_lemma4_2),
     "thm4.3": ("weakly decreasing outcomes = 132-avoiders, Catalan-many", 8, _check_thm4_3),
+    "stirling": ("outcomes with k peaks number S(n, k)", 14, _check_stirling),
 }
 
 

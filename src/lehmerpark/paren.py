@@ -243,9 +243,9 @@ class GBsp:
         return render(self)
 
 
-def _gbsp(n: int, F, L, g) -> GBsp:
-    """The checked GBsp of a plain (F, L, g), g aligned to spaces and 0 on F."""
-    return GBsp(SpacedParen(n, F, L), [(i, v) for i, v in enumerate(g, start=1) if i not in F])
+def _gbsp(base: SpacedParen, g) -> GBsp:
+    """The checked GBsp of `base` and g, g aligned to spaces and 0 on F."""
+    return GBsp(base, [(i, v) for i, v in enumerate(g, start=1) if i not in base.F])
 
 
 def _plain(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
@@ -348,16 +348,20 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
         i += 1
 
 
-def _gbsps_over(sp: SpacedParen) -> Iterator[GBsp]:
+def _g_fillings(sp: SpacedParen) -> Iterator[list[int]]:
     """Every g on the balanced `sp`, g(i) in [1, depth(i)] for each space i
-    outside F, in lexicographic order of g."""
-    free = [i for i in range(1, sp.n + 1) if i not in sp.F]
+    outside F, as a list aligned to spaces and 0 on F, in lexicographic order of g."""
+    free = [i for i in range(sp.n) if i + 1 not in sp.F]  # 0-based indices of spaces outside F
     ds = depths(sp)
-    for combo in itertools.product(*(range(1, ds[i - 1] + 1) for i in free)):
-        yield GBsp(sp, dict(zip(free, combo)))
+    for combo in itertools.product(*(range(1, ds[i] + 1) for i in free)):
+        g = [0] * sp.n
+        for i, v in zip(free, combo):
+            g[i] = v
+        yield g
 
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
     for sp in enumerate_bsps(n):
-        yield from _gbsps_over(sp)
+        for g in _g_fillings(sp):
+            yield _gbsp(sp, g)

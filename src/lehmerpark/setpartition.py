@@ -103,7 +103,8 @@ def _min_max(blocks) -> tuple[frozenset[int], frozenset[int]]:
 def to_gbsp(b: SetPartition) -> GBsp:
     """min_max(b) plus, for each non-minimum element i, the rank of its block
     among the blocks open at i (min < i <= max), ordered by minimum."""
-    return _gbsp(b.n, *_to_gbsp(b.n, b.blocks))
+    F, L, g = _to_gbsp(b.n, b.blocks)
+    return _gbsp(SpacedParen(b.n, F, L), g)
 
 
 def _to_gbsp(n: int, blocks) -> tuple[frozenset[int], frozenset[int], list[int]]:

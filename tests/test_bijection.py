@@ -103,6 +103,19 @@ def test_fiber_matches_brute_force():
             assert {m.perm for m in got} == brute_fiber(sp), sp
 
 
+def test_fiber_equals_phi_prime_inv_over_checked_gbsps():
+    # the fiber through checked GBsps, one per g in lexicographic order
+    for n in range(8):
+        for sp in enumerate_bsps(n):
+            free = [i for i in range(1, n + 1) if i not in sp.F]
+            ds = depths(sp)
+            gbsps = (
+                GBsp(sp, dict(zip(free, combo)))
+                for combo in itertools.product(*(range(1, ds[i - 1] + 1) for i in free))
+            )
+            assert list(fiber(sp)) == list(map(phi_prime_inv, gbsps)), sp
+
+
 def test_fiber_worked_example():
     sp = SpacedParen(6, frozenset({1, 2, 5}), frozenset({4, 5, 6}))
     members = list(fiber(sp))

@@ -156,8 +156,9 @@ def test_enumerate_counts_match_formulas(capsys):
 
 def test_count_verbs(capsys):
     assert run_cli(capsys, "count", "outcomes", "--n", "6").out == "203\n"
-    # Bell(11); this path tallies the walk without collecting it into a set
+    # Bell(11) and Bell(16): this path counts occupied-spot sets, the walk could not reach 16 here
     assert run_cli(capsys, "count", "outcomes", "--n", "11").out == "678570\n"
+    assert run_cli(capsys, "count", "outcomes", "--n", "16").out == "10480142147\n"
     assert run_cli(capsys, "count", "bell", "--n", "10").out == "115975\n"
     assert run_cli(capsys, "count", "catalan", "--n", "9").out == "4862\n"
 

@@ -198,3 +198,12 @@ def test_huge_balanced_fiber_count_needs_constant_memory():
     # valid input with fiber size 1: the product of depths must not hold a value per space
     done = _run_limited(("fiber", "--count", '{"n":5000000,"F":[1],"L":[5000000]}'), 256 << 20)
     assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():
+    # the occupied-spot count would need C(n, n // 2) sets; it refuses instead of running out
+    done = _run_limited(("count", "outcomes", "--n", "1200"), 256 << 20)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    error = json.loads(line)
+    assert error["code"] == "domain" and "n <= " in error["error"]

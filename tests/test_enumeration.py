@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,15 @@ from lehmerpark.enumeration import (
     describe_theorem,
     enumerate_partitions,
     iter_outcome_words,
+    outcome_peak_counts,
     outcome_set,
     outcome_words,
     theorem_ids,
     verify,
 )
+from lehmerpark.bijection import OutcomePermutation, outcome_to_partition
 from lehmerpark.paren import SpacedParen, enumerate_bsps
+from lehmerpark.permutation import Permutation
 from lehmerpark.parking import ParkOutcome, PrefTuple, park
 from lehmerpark.setpartition import SetPartition
 
@@ -31,7 +35,7 @@ OBJECTS_AT_5 = {
     "lemma1.2": 154, "thm2.4": 152, "lemma3.4": 76, "lemma3.5": 76, "lemma3.7": 343,
     "lemma3.9": 76, "cor3.10": 141, "lemma3.12": 152, "lemma3.13": 76, "lemma3.14": 65,
     "cor3.15": 141, "lemma3.16": 152, "thm3.1": 152, "prop4.1": 65, "lemma4.2": 65,
-    "thm4.3": 130,
+    "thm4.3": 130, "stirling": 97,
 }
 
 
@@ -82,6 +86,61 @@ def test_outcome_counts_are_bell_numbers():
 def test_generators_do_not_depend_on_the_recursion_limit(generate, first):
     # a generator frame per element would pass the default limit of 1000
     assert next(generate(1200)) == first
+
+
+def test_peak_counts_sum_to_the_walk_and_the_bell_numbers():
+    for n in range(11):
+        row = outcome_peak_counts(n)
+        assert len(row) == n + 1
+        assert sum(row) == BELL[n] == len(list(iter_outcome_words(n))), f"n={n}"
+
+
+def test_peak_counts_are_the_block_counts_of_the_bijection():
+    # under the bijection the peaks of an outcome become the blocks of its partition
+    for n in range(9):
+        blocks = Counter(
+            len(outcome_to_partition(OutcomePermutation(Permutation(w))).blocks)
+            for w in iter_outcome_words(n)
+        )
+        assert outcome_peak_counts(n) == [blocks[k] for k in range(n + 1)], f"n={n}"
+
+
+def test_peak_counts_refuse_n_past_the_ceiling_at_once():
+    with pytest.raises(ValueError, match="nonnegative"):
+        outcome_peak_counts(-1)
+    with pytest.raises(ValueError, match=f"n <= {enumeration._DP_MAX_N}"):
+        outcome_peak_counts(enumeration._DP_MAX_N + 1)
+    with pytest.raises(ValueError, match="n <= "):
+        outcome_peak_counts(10**9)
+
+
+def test_stirling_row_matches_the_inclusion_exclusion_formula():
+    # S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, counting surjections onto k blocks
+    for n in range(15):
+        surjections = [
+            sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+            for k in range(n + 1)
+        ]
+        assert enumeration._stirling_row(n) == [
+            s // math.factorial(k) for k, s in enumerate(surjections)
+        ], f"n={n}"
+
+
+def test_stirling_check_reports_a_wrong_peak_row(monkeypatch):
+    # one outcome moved from 1 peak to 2: the Bell sum holds, both row checks fail
+    def shifted(n):
+        row = outcome_peak_counts(n)
+        if n == 3:
+            row[1:3] = [row[1] - 1, row[2] + 1]
+        return row
+
+    monkeypatch.setattr(enumeration, "outcome_peak_counts", shifted)
+    assert verify("stirling", 3).discrepancies == (
+        "n=3: the occupied-spot count gives 0 outcomes with 1 peaks, S(n, k) is 1",
+        "n=3: the occupied-spot count gives 4 outcomes with 2 peaks, S(n, k) is 3",
+        "n=3: the occupied-spot count gives 0 outcomes with 1 peaks, the walk finds 1",
+        "n=3: the occupied-spot count gives 4 outcomes with 2 peaks, the walk finds 3",
+    )
 
 
 def test_every_claimed_outcome_parks():
@@ -165,6 +224,7 @@ def test_theorem_registry():
         "prop4.1",
         "lemma4.2",
         "thm4.3",
+        "stirling",
     ]
     for theorem in ids:
         assert describe_theorem(theorem)
@@ -194,6 +254,7 @@ def test_theorem_registry():
     "prop4.1",
     "lemma4.2",
     "thm4.3",
+    "stirling",
 ])
 def test_every_check_passes_at_its_default_n_max(theorem):
     report = verify(theorem)
