@@ -16,6 +16,7 @@ composite maps chain the sweeps with no GBsp in between.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,14 +79,16 @@ def _phi_prime(word: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], l
     F = frozenset(n - word[c - 1] + 1 for c in L)
     col_of_row = {v: c for c, v in enumerate(word, start=1)}
     g = [0] * n
-    empty: list[int] = []  # columns j < i holding neither a peak nor a higher row
+    # columns j < i holding neither a peak nor a higher row; ascending, since
+    # columns enter in space order, so bisect ranks a column in O(log depth)
+    empty: list[int] = []
     depth = 0
     for i in range(1, n + 1):
         if i in F:
             depth += 1
         else:
             assert len(empty) == depth, "empty-column count equals the depth"
-            k = empty.index(col_of_row[n - i + 1])
+            k = bisect_left(empty, col_of_row[n - i + 1])
             g[i - 1] = k + 1
             del empty[k]
         if i in L:

@@ -48,7 +48,7 @@ from .bijection import (
     phi_prime,
     phi_prime_inv,
 )
-from .paren import GBsp, SpacedParen, depth, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
+from .paren import GBsp, SpacedParen, depths, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
 from .parking import PrefTuple, is_parking_function, park
 from .permutation import Permutation, _contains_132, _contains_armleg
 from .setpartition import enumerate_partitions, from_gbsp, min_max, to_gbsp
@@ -287,12 +287,11 @@ def _check_thm2_4(n: int):
 def _check_lemma3_4(n: int):
     def problems(w):
         diagram = peaks(Permutation(w))
-        sp = arms_legs(diagram)
-        for i in range(1, n + 1):
-            if depth_at(diagram, i) != depth(sp, i):
+        for i, d in enumerate(depths(arms_legs(diagram)), start=1):
+            if depth_at(diagram, i) != d:
                 yield (
                     f"n={n}: outcome {w} space {i}: box count "
-                    f"{depth_at(diagram, i)} != paren depth {depth(sp, i)}"
+                    f"{depth_at(diagram, i)} != paren depth {d}"
                 )
 
     return _each(sorted(iter_outcome_words(n)), problems)

@@ -8,6 +8,7 @@ pipes, e.g. ``{1,4}|{2,3,6}|{5}``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -113,14 +114,18 @@ def _to_gbsp(n: int, blocks) -> tuple[frozenset[int], frozenset[int], list[int]]
     F, L = _min_max(blocks)
     block_min = {x: blk[0] for blk in blocks for x in blk}
     g = [0] * n
-    opened: list[int] = []  # minima of the open blocks, ascending
+    # minima of the open blocks; ascending, since minima enter in space order,
+    # so bisect ranks a block in O(log depth)
+    opened: list[int] = []
     for i in range(1, n + 1):
         if i in F:
+            k = len(opened)
             opened.append(i)
         else:
-            g[i - 1] = opened.index(block_min[i]) + 1
+            k = bisect_left(opened, block_min[i])
+            g[i - 1] = k + 1
         if i in L:
-            opened.remove(block_min[i])
+            del opened[k]
     return F, L, g
 
 

@@ -306,7 +306,7 @@ def test_failing_check_reports_every_object(monkeypatch):
 
 def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
     monkeypatch.setattr(enumeration, "depth_at", lambda diagram, i: 1)
-    monkeypatch.setattr(enumeration, "depth", lambda sp, i: 0)
+    monkeypatch.setattr(enumeration, "depths", lambda sp: (0,) * sp.n)
     report = verify("lemma3.4", 3)
     assert report.objects_checked == 9
     assert report.discrepancies == tuple(

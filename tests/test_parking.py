@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import pytest
+from test_bijection import partition_of_2000
 
+from lehmerpark.bijection import partition_to_outcome
 from lehmerpark.enumeration import all_lehmer
 from lehmerpark.parking import (
     ParkOutcome,
@@ -54,15 +57,50 @@ def test_park_worked_examples():
     assert not result.ok and result.failed_car == 3
 
 
+def assert_park_matches_oracle(prefs):
+    got = park(PrefTuple(prefs))
+    want = oracle_park(prefs)
+    if want[0] == "park":
+        assert got.ok and got.outcome.word == want[1], prefs
+    else:
+        assert not got.ok and got.failed_car == want[1], prefs
+    return want
+
+
 def test_park_matches_simulation_oracle_on_all_tuples():
     for n in range(6):
         for prefs in itertools.product(range(1, n + 1), repeat=n):
-            got = park(PrefTuple(prefs))
-            want = oracle_park(prefs)
-            if want[0] == "park":
-                assert got.ok and got.outcome.word == want[1], prefs
-            else:
-                assert not got.ok and got.failed_car == want[1], prefs
+            assert_park_matches_oracle(prefs)
+
+
+@pytest.mark.parametrize("window", [2, 2000], ids=["shallow", "deep"])
+def test_park_matches_oracle_on_canonical_preimages_at_n_2000(window):
+    oc = partition_to_outcome(partition_of_2000(window))
+    prefs = canonical_lehmer_preimage(oc.perm).prefs
+    assert assert_park_matches_oracle(prefs) == ("park", oc.word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 3000])
+def test_park_fails_the_first_car_past_n_after_a_long_run(n):
+    # all cars want spot k: cars 1..n-k+1 fill k..n, and the next one drives off
+    for k in sorted({1, 2, (n + 1) // 2, n - 1, n} & set(range(1, n + 1))):
+        want = assert_park_matches_oracle((k,) * n)
+        assert want == (("park", tuple(range(1, n + 1))) if k == 1 else ("fail", n - k + 2))
+
+
+def test_park_matches_oracle_on_a_seeded_sample_at_n_3000():
+    n = 3000
+    rng = random.Random(3000)
+    # uniform over [n]^n: nearly all fail, after occupied runs of many lengths
+    uniform = (tuple(rng.randint(1, n) for _ in range(n)) for _ in range(20))
+    assert sum(assert_park_matches_oracle(prefs)[0] == "fail" for prefs in uniform) >= 15
+    for _ in range(3):  # uniform staircase tuples: all park, through long runs
+        prefs = tuple(rng.randint(1, n - i) for i in range(n))
+        assert assert_park_matches_oracle(prefs)[0] == "park"
+    for _ in range(5):  # sorted prefixes capped at i, shuffled: parking functions
+        prefs = [min(v, i) for i, v in enumerate(sorted(rng.randint(1, n) for _ in range(n)), 1)]
+        rng.shuffle(prefs)
+        assert assert_park_matches_oracle(tuple(prefs))[0] == "park"
 
 
 def test_parking_function_characterisation():

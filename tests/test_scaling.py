@@ -1,0 +1,59 @@
+"""The per-object maps at n = 65,536: each must finish well under a second.
+
+A linear probe in `park` or a list scan in a rank leg is quadratic, and takes
+from seconds to about a minute at this size, so these budgets fail on it.
+"""
+
+import random
+import time
+
+import pytest
+
+from lehmerpark.bijection import outcome_to_partition, partition_to_outcome
+from lehmerpark.parking import PrefTuple, park
+from lehmerpark.setpartition import SetPartition, to_gbsp
+
+N = 65536
+BUDGET_S = 1.0
+
+
+def timed(f, x):
+    start = time.perf_counter()
+    y = f(x)
+    return y, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def nested():
+    """The nested partition {i, N + 1 - i}, depth N / 2 at the middle, and its outcome."""
+    b = SetPartition(N, tuple((i, N + 1 - i) for i in range(1, N // 2 + 1)))
+    return b, partition_to_outcome(b)
+
+
+def test_park_of_a_uniform_staircase_tuple():
+    rng = random.Random(N)
+    a = PrefTuple(tuple(rng.randint(1, N - i) for i in range(N)))
+    result, seconds = timed(park, a)
+    assert result.ok
+    assert seconds < BUDGET_S, f"park took {seconds:.2f} s at n = {N}"
+
+
+def test_to_gbsp_of_the_nested_partition(nested):
+    b, _ = nested
+    gb, seconds = timed(to_gbsp, b)
+    assert max(gb.g_map.values()) == N // 2  # {N/2, N/2 + 1} is the innermost of N/2 open blocks
+    assert seconds < BUDGET_S, f"to_gbsp took {seconds:.2f} s at n = {N}"
+
+
+def test_partition_to_outcome_of_the_nested_partition(nested):
+    b, oc = nested
+    got, seconds = timed(partition_to_outcome, b)
+    assert got == oc
+    assert seconds < BUDGET_S, f"partition_to_outcome took {seconds:.2f} s at n = {N}"
+
+
+def test_outcome_to_partition_of_the_nested_outcome(nested):
+    b, oc = nested
+    got, seconds = timed(outcome_to_partition, oc)
+    assert got == b
+    assert seconds < BUDGET_S, f"outcome_to_partition took {seconds:.2f} s at n = {N}"
