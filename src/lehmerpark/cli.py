@@ -258,7 +258,13 @@ _COUNTS = {
 
 
 def _cmd_count(args) -> int:
-    print(_COUNTS[args.kind](args.n))
+    value = _COUNTS[args.kind](args.n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # Bell(2200) has 4,860 digits; the default limit is 4,300
+    try:
+        print(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

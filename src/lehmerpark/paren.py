@@ -81,7 +81,7 @@ def depth(sp: SpacedParen, i: int) -> int:
     """
     if not 1 <= i <= sp.n:
         raise ValueError(f"space {i} out of range [1, {sp.n}]")
-    return depths(sp)[i - 1]
+    return next(itertools.islice(_iter_depths(sp), i - 1, None))  # the sweep stops at space i
 
 
 def depths(sp: SpacedParen) -> tuple[int, ...]:

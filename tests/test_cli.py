@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import lehmerpark
+import lehmerpark.cli as cli
 import lehmerpark.enumeration as enumeration
 from lehmerpark.cli import main
 
@@ -156,11 +158,37 @@ def test_enumerate_counts_match_formulas(capsys):
 
 def test_count_verbs(capsys):
     assert run_cli(capsys, "count", "outcomes", "--n", "6").out == "203\n"
-    # Bell(11) and Bell(16): this path counts occupied-spot sets, the walk could not reach 16 here
+    # Bell(11) and Bell(16): this path counts by the reservation sweep, the walk could not reach 16 here
     assert run_cli(capsys, "count", "outcomes", "--n", "11").out == "678570\n"
     assert run_cli(capsys, "count", "outcomes", "--n", "16").out == "10480142147\n"
     assert run_cli(capsys, "count", "bell", "--n", "10").out == "115975\n"
     assert run_cli(capsys, "count", "catalan", "--n", "9").out == "4862\n"
+
+
+def test_count_outcomes_is_bell_and_the_peak_row_is_stirling_up_to_the_ceiling(capsys, monkeypatch):
+    rows = {}
+
+    def recorded(n):
+        rows[n] = enumeration.outcome_peak_counts(n)
+        return rows[n]
+
+    monkeypatch.setattr(cli, "outcome_peak_counts", recorded)
+    for n in range(enumeration._DP_MAX_N + 1):
+        outcomes = run_cli(capsys, "count", "outcomes", "--n", str(n)).out
+        assert outcomes == run_cli(capsys, "count", "bell", "--n", str(n)).out, f"n={n}"
+        assert rows.pop(n) == enumeration._stirling_row(n), f"n={n}"
+
+
+def test_count_prints_past_the_int_print_limit_and_restores_it(capsys):
+    limit = sys.get_int_max_str_digits()
+    out = run_cli(capsys, "count", "catalan", "--n", "8000").out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.comb(16000, 8000) // 8001)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4811 and out == expected + "\n"
 
 
 def test_module_runs_as_script():

@@ -201,7 +201,7 @@ def test_huge_balanced_fiber_count_needs_constant_memory():
 
 
 def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():
-    # the occupied-spot count would need C(n, n // 2) sets; it refuses instead of running out
+    # n = 1200 is past the count's time ceiling; it refuses at once instead of running for minutes
     done = _run_limited(("count", "outcomes", "--n", "1200"), 256 << 20)
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()

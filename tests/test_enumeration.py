@@ -201,8 +201,9 @@ def test_catalan_matches_reference():
 
 
 def test_catalan_matches_binomial_formula():
-    for n in range(12):
-        assert catalan(n) == math.comb(2 * n, n) // (n + 1)
+    # the ratio recurrence divides by m + 2 at each step; a slip would carry into every later term
+    for n in range(500):
+        assert catalan(n) == math.comb(2 * n, n) // (n + 1), f"n={n}"
 
 
 def test_theorem_registry():

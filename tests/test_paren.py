@@ -55,6 +55,7 @@ def test_depth_matches_oracle_everywhere():
     for n in range(6):
         for sp in all_fl_pairs(n):
             assert depths(sp) == tuple(oracle_depth(sp, i) for i in range(1, n + 1))
+            assert all(depth(sp, i) == oracle_depth(sp, i) for i in range(1, n + 1))
             assert is_balanced(sp) == all(oracle_depth(sp, i) >= 1 for i in range(1, n + 1))
 
 

@@ -2,6 +2,8 @@
 
 A linear probe in `park` or a list scan in a rank leg is quadratic, and takes
 from seconds to about a minute at this size, so these budgets fail on it.
+`depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
+parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
 """
 
 import random
@@ -10,6 +12,7 @@ import time
 import pytest
 
 from lehmerpark.bijection import outcome_to_partition, partition_to_outcome
+from lehmerpark.paren import SpacedParen, depth
 from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition, to_gbsp
 
@@ -57,3 +60,13 @@ def test_outcome_to_partition_of_the_nested_outcome(nested):
     got, seconds = timed(outcome_to_partition, oc)
     assert got == b
     assert seconds < BUDGET_S, f"outcome_to_partition took {seconds:.2f} s at n = {N}"
+
+
+def test_depth_near_the_start_stops_its_sweep():
+    n = 200_000
+    sp = SpacedParen(n, frozenset(range(1, n // 2 + 1)), frozenset(range(n // 2 + 1, n + 1)))
+    start = time.perf_counter()
+    got = [depth(sp, 1) for _ in range(1000)]
+    seconds = time.perf_counter() - start
+    assert got == [1] * 1000
+    assert seconds < BUDGET_S, f"1,000 calls of depth(sp, 1) took {seconds:.2f} s at n = {n}"
