@@ -20,12 +20,11 @@ from typing import Iterator
 from .armleg import PartialArmLegDiagram
 from .bijection import (
     OutcomePermutation,
+    _phi_prime,
     fiber,
     fiber_size,
-    outcome_to_partition,
     partition_to_outcome,
     phi,
-    phi_prime,
     phi_prime_inv,
 )
 from .enumeration import (
@@ -39,7 +38,15 @@ from .enumeration import (
     verify,
 )
 from .errors import LehmerError, ParseError, _distinct, _json_array
-from .paren import GBsp, SpacedParen, enumerate_bsps, enumerate_gbsps, parse as parse_paren
+from .paren import (
+    GBsp,
+    SpacedParen,
+    _g_fillings,
+    _g_pairs,
+    _gbsp_obj,
+    enumerate_bsps,
+    parse as parse_paren,
+)
 from .parking import (
     PrefTuple,
     is_lehmer,
@@ -56,7 +63,7 @@ from .permutation import (
     inversion_table,
 )
 from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
-from .setpartition import SetPartition, enumerate_partitions
+from .setpartition import SetPartition, _from_gbsp, _partition_blocks
 
 
 # built once: json.dumps with non-default separators builds a new encoder per call
@@ -168,8 +175,9 @@ def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
     return _json_word(value, Permutation, "outcome", "perm")
 
 
-def _blocks(b: SetPartition) -> dict:
-    return {"blocks": [list(blk) for blk in b.blocks]}
+def _blocks(blocks) -> dict:
+    """The JSON object of a partition's blocks, already in `SetPartition` order."""
+    return {"blocks": [list(blk) for blk in blocks]}
 
 
 def _park(a: PrefTuple) -> dict:
@@ -179,7 +187,19 @@ def _park(a: PrefTuple) -> dict:
     return {"failed_car": result.failed_car}
 
 
-# each transform verb reads one value per input and maps it to one JSON line
+def _to_gbsp(p: OutcomePermutation) -> dict:
+    F, L, g = _phi_prime(p.word)
+    return _gbsp_obj(p.n, F, L, _g_pairs(F, g))
+
+
+def _to_partition(p: OutcomePermutation) -> dict:
+    # _from_gbsp lists the blocks in closing order; sorting puts them by minimum
+    return _blocks(sorted(_from_gbsp(p.n, *_phi_prime(p.word))))
+
+
+# each transform verb reads one value per input, checked, and maps it to one JSON
+# line.  The bijection legs write their sweeps' plain output, except that a leg
+# whose output is an outcome certifies it through OutcomePermutation.
 _TRANSFORMS = {
     "park": (_read_prefs, _park),
     "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
@@ -188,9 +208,9 @@ _TRANSFORMS = {
         lambda t: {"perm": from_inversion_table(t).to_json_obj()},
     ),
     "phi": (_read_outcome, lambda p: phi(p).to_json_obj()),
-    "to-gbsp": (_read_outcome, lambda p: phi_prime(p).to_json_obj()),
+    "to-gbsp": (_read_outcome, _to_gbsp),
     "from-gbsp": (_read_gbsp, lambda gb: {"outcome": phi_prime_inv(gb).perm.to_json_obj()}),
-    "to-partition": (_read_outcome, lambda p: _blocks(outcome_to_partition(p))),
+    "to-partition": (_read_outcome, _to_partition),
     "from-partition": (
         _read_partition,
         lambda b: {"outcome": partition_to_outcome(b).perm.to_json_obj()},
@@ -233,20 +253,26 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
-# each enumerate kind lists its family at n and writes one JSON line per member
+def _gbsp_objs(n: int) -> Iterator[dict]:
+    """The JSON objects of enumerate_gbsps(n), written from the plain fillings."""
+    for sp in enumerate_bsps(n):
+        for g in _g_fillings(sp):
+            yield _gbsp_obj(n, sp.F, sp.L, _g_pairs(sp.F, g))
+
+
+# each enumerate kind lists the JSON objects of its family at n, one line each
 _FAMILIES = {
-    "lehmer": (all_lehmer, PrefTuple.to_json_obj),
-    "outcomes": (lambda n: sorted(iter_outcome_words(n)), lambda w: {"outcome": list(w)}),
-    "partitions": (enumerate_partitions, _blocks),
-    "bsp": (enumerate_bsps, SpacedParen.to_json_obj),
-    "gbsp": (enumerate_gbsps, GBsp.to_json_obj),
+    "lehmer": lambda n: map(PrefTuple.to_json_obj, all_lehmer(n)),
+    "outcomes": lambda n: ({"outcome": list(w)} for w in sorted(iter_outcome_words(n))),
+    "partitions": lambda n: map(_blocks, _partition_blocks(n)),
+    "bsp": lambda n: map(SpacedParen.to_json_obj, enumerate_bsps(n)),
+    "gbsp": _gbsp_objs,
 }
 
 
 def _cmd_enumerate(args) -> int:
-    generate, to_json = _FAMILIES[args.kind]
-    for x in generate(args.n):
-        _emit(to_json(x))
+    for obj in _FAMILIES[args.kind](args.n):
+        _emit(obj)
     return 0
 
 

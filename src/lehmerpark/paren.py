@@ -226,9 +226,7 @@ class GBsp:
         return dict(self.g)
 
     def to_json_obj(self) -> dict:
-        obj = self.base.to_json_obj()
-        obj["g"] = {str(i): v for i, v in self.g}
-        return obj
+        return _gbsp_obj(self.n, self.base.F, self.base.L, self.g)
 
     @classmethod
     def from_json_obj(cls, obj) -> "GBsp":
@@ -245,7 +243,18 @@ class GBsp:
 
 def _gbsp(base: SpacedParen, g) -> GBsp:
     """The checked GBsp of `base` and g, g aligned to spaces and 0 on F."""
-    return GBsp(base, [(i, v) for i, v in enumerate(g, start=1) if i not in base.F])
+    return GBsp(base, _g_pairs(base.F, g))
+
+
+def _g_pairs(F, g) -> list[tuple[int, int]]:
+    """The (space, value) pairs of g aligned to spaces, in space order, F left out."""
+    return [(i, v) for i, v in enumerate(g, start=1) if i not in F]
+
+
+def _gbsp_obj(n: int, F, L, g_pairs) -> dict:
+    """The JSON object of the g-parenthesization (n, F, L, g), g as (space, value)
+    pairs in space order; unchecked, so the CLI can write a plain sweep's output."""
+    return {"n": n, "F": sorted(F), "L": sorted(L), "g": {str(i): v for i, v in g_pairs}}
 
 
 def _plain(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:

@@ -156,10 +156,17 @@ def _from_gbsp(n: int, F, L, g) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """Every set partition of [n] exactly once, by restricted-growth strings."""
+    for blocks in _partition_blocks(n):
+        yield SetPartition(n, blocks)
+
+
+def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The blocks of every set partition of [n], each block ascending and the
+    blocks by minimum, as `SetPartition` keeps them; unchecked."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        yield SetPartition(0, ())
+        yield ()
         return
     # restricted growth string in lexicographic order (Knuth, TAOCP 4A 7.2.1.5):
     # rgs[i] is the block of element i + 1, and tops[i] = max(rgs[:i + 1]) + 1
@@ -169,7 +176,7 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         blocks: list[list[int]] = [[] for _ in range(tops[-1])]
         for element, blk in enumerate(rgs, start=1):
             blocks[blk].append(element)
-        yield SetPartition(n, tuple(tuple(blk) for blk in blocks))
+        yield tuple(tuple(blk) for blk in blocks)
         i = n - 1
         while i and rgs[i] == tops[i - 1]:  # element i + 1 already starts a new block
             i -= 1

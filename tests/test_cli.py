@@ -11,7 +11,11 @@ import pytest
 import lehmerpark
 import lehmerpark.cli as cli
 import lehmerpark.enumeration as enumeration
+from lehmerpark.bijection import OutcomePermutation, outcome_to_partition, phi_prime
 from lehmerpark.cli import main
+from lehmerpark.paren import enumerate_gbsps
+from lehmerpark.permutation import Permutation
+from lehmerpark.setpartition import enumerate_partitions
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None, expect=0):
@@ -154,6 +158,26 @@ def test_enumerate_counts_match_formulas(capsys):
     ):
         lines = run_cli(capsys, "enumerate", kind, "--n", str(n)).out.splitlines()
         assert len(lines) == expected, kind
+
+
+def _lines(objs):
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_plain_outputs_equal_the_checked_path(capsys, monkeypatch, n):
+    # these verbs write the plain sweeps' output; the library maps, which build
+    # and check every object, are the reference, byte for byte
+    outcomes = [OutcomePermutation(Permutation(w)) for w in sorted(enumeration.iter_outcome_words(n))]
+    stdin = "".join(json.dumps(list(p.word)) + "\n" for p in outcomes)
+    out = run_cli(capsys, "to-gbsp", stdin=stdin, monkeypatch=monkeypatch).out
+    assert out == _lines(phi_prime(p).to_json_obj() for p in outcomes)
+    out = run_cli(capsys, "to-partition", stdin=stdin, monkeypatch=monkeypatch).out
+    assert out == _lines({"blocks": [list(b) for b in outcome_to_partition(p).blocks]} for p in outcomes)
+    out = run_cli(capsys, "enumerate", "partitions", "--n", str(n)).out
+    assert out == _lines({"blocks": [list(b) for b in sp.blocks]} for sp in enumerate_partitions(n))
+    out = run_cli(capsys, "enumerate", "gbsp", "--n", str(n)).out
+    assert out == _lines(gb.to_json_obj() for gb in enumerate_gbsps(n))
 
 
 def test_count_verbs(capsys):

@@ -148,6 +148,13 @@ def test_every_value_is_read_or_refused_with_one_json_error(verb, value):
         assert again == (0, out, "")
 
 
+@pytest.mark.parametrize("kind", ["lehmer", "outcomes", "partitions", "bsp", "gbsp"])
+def test_enumerate_refuses_a_negative_n_before_any_output(kind):
+    assert call(["enumerate", kind, "--n", "-1"]) == (
+        1, "", '{"error":"n must be nonnegative","code":"domain"}\n'
+    )
+
+
 @pytest.mark.parametrize("cls, args", [
     (Permutation, ((1.7, 2),)),
     (Permutation, ((True, 2),)),

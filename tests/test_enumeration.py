@@ -78,6 +78,12 @@ def test_outcome_counts_are_bell_numbers():
         next(iter_outcome_words(-1))
 
 
+def test_enumerate_partitions_refuses_a_negative_n_when_first_advanced():
+    partitions = enumerate_partitions(-1)  # lazy, like iter_outcome_words: no error yet
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        next(partitions)
+
+
 @pytest.mark.parametrize("generate, first", [
     (iter_outcome_words, tuple(range(1, 1201))),
     (enumerate_partitions, SetPartition(1200, (tuple(range(1, 1201)),))),

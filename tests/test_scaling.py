@@ -2,16 +2,22 @@
 
 A linear probe in `park` or a list scan in a rank leg is quadratic, and takes
 from seconds to about a minute at this size, so these budgets fail on it.
+The CLI's `to-partition` and `to-gbsp`, which run the plain sweeps without the
+library maps, are held to it on the nested outcome, reading and writing included.
 `depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
 parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 
 import pytest
 
-from lehmerpark.bijection import outcome_to_partition, partition_to_outcome
+from lehmerpark.bijection import outcome_to_partition, partition_to_outcome, phi_prime
+from lehmerpark.cli import main
 from lehmerpark.paren import SpacedParen, depth
 from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition, to_gbsp
@@ -60,6 +66,30 @@ def test_outcome_to_partition_of_the_nested_outcome(nested):
     got, seconds = timed(outcome_to_partition, oc)
     assert got == b
     assert seconds < BUDGET_S, f"outcome_to_partition took {seconds:.2f} s at n = {N}"
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    assert code == 0
+    return json.loads(out.getvalue()), seconds
+
+
+def test_cli_to_partition_of_the_nested_outcome(nested):
+    b, oc = nested
+    got, seconds = run_cli(["to-partition", ",".join(map(str, oc.word))])
+    assert got == {"blocks": [list(blk) for blk in b.blocks]}
+    assert seconds < BUDGET_S, f"to-partition took {seconds:.2f} s at n = {N}"
+
+
+def test_cli_to_gbsp_of_the_nested_outcome(nested):
+    _, oc = nested
+    got, seconds = run_cli(["to-gbsp", ",".join(map(str, oc.word))])
+    assert got == phi_prime(oc).to_json_obj()
+    assert seconds < BUDGET_S, f"to-gbsp took {seconds:.2f} s at n = {N}"
 
 
 def test_depth_near_the_start_stops_its_sweep():
