@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .armleg import arms_legs, peaks
 from .paren import GBsp, SpacedParen, _g_fillings, _gbsp, _iter_depths, _plain, is_balanced
-from .permutation import Permutation, contains_armleg_pattern
+from .permutation import Permutation, _contains_armleg
 from .setpartition import SetPartition, _from_gbsp, _to_gbsp
 
 __all__ = [
@@ -44,11 +44,7 @@ class OutcomePermutation:
     perm: Permutation
 
     def __post_init__(self) -> None:
-        if contains_armleg_pattern(self.perm):
-            raise ValueError(
-                f"{self.perm.to_text()} contains the arm-leg pattern and is not "
-                "the outcome of any staircase preference tuple"
-            )
+        _certify(self.perm.word)
 
     @property
     def n(self) -> int:
@@ -57,6 +53,17 @@ class OutcomePermutation:
     @property
     def word(self) -> tuple[int, ...]:
         return self.perm.word
+
+
+def _certify(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The check of `OutcomePermutation`: the permutation `word` if it avoids the
+    arm-leg pattern.  The constructor and the CLI both certify through it."""
+    if _contains_armleg(word):
+        raise ValueError(
+            f"{','.join(map(str, word))} contains the arm-leg pattern and is not "
+            "the outcome of any staircase preference tuple"
+        )
+    return word
 
 
 def phi(p: OutcomePermutation) -> SpacedParen:

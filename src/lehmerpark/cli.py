@@ -20,12 +20,12 @@ from typing import Iterator
 from .armleg import PartialArmLegDiagram
 from .bijection import (
     OutcomePermutation,
+    _certify,
     _phi_prime,
+    _phi_prime_inv,
     fiber,
     fiber_size,
-    partition_to_outcome,
     phi,
-    phi_prime_inv,
 )
 from .enumeration import (
     all_lehmer,
@@ -41,9 +41,14 @@ from .errors import LehmerError, ParseError, _distinct, _json_array
 from .paren import (
     GBsp,
     SpacedParen,
+    _check_g,
+    _check_paren,
     _g_fillings,
+    _g_json,
     _g_pairs,
     _gbsp_obj,
+    _paren_json,
+    _parse,
     enumerate_bsps,
     parse as parse_paren,
 )
@@ -57,17 +62,26 @@ from .parking import (
 from .permutation import (
     InversionTable,
     Permutation,
+    _check_word,
     _parse_int_word,
     contains_armleg_pattern,
     from_inversion_table,
     inversion_table,
 )
 from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
-from .setpartition import SetPartition, _from_gbsp, _partition_blocks
+from .setpartition import (
+    _blocks_json,
+    _check_blocks,
+    _from_gbsp,
+    _parse_blocks,
+    _partition_blocks,
+    _to_gbsp,
+)
 
 
-# built once: json.dumps with non-default separators builds a new encoder per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# built once: json.dumps with non-default separators builds a new encoder per call.
+# The CLI encodes only fresh trees of dicts, lists and scalars, never a cycle.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _dump(obj) -> str:
@@ -75,7 +89,8 @@ def _dump(obj) -> str:
 
 
 def _emit(obj) -> None:
-    print(_dump(obj))
+    # one write per line: with unbuffered stdout, print would make two
+    sys.stdout.write(_dump(obj) + "\n")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -96,6 +111,8 @@ def _loads(text: str):
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}", position=exc.pos + 1) from None
+    except RecursionError:  # the C scanner recurses once per level of nesting
+        raise ParseError("malformed JSON: nested too deeply") from None
 
 
 def _inputs(value: str | None) -> Iterator[str]:
@@ -126,7 +143,11 @@ def _int_word(text: str, make, *keys: str):
 
 def _json_word(value, make, *keys: str):
     if isinstance(value, dict):
-        value = next((value[key] for key in keys if key in value), value)
+        present = [key for key in keys if key in value]
+        if len(present) > 1:
+            raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
+        if present:
+            value = value[present[0]]
     return make(_json_array(value, "the integers"))
 
 
@@ -134,8 +155,9 @@ def _read_perm(text: str) -> Permutation:
     return _int_word(text, Permutation, "outcome", "perm")
 
 
-def _read_outcome(text: str) -> OutcomePermutation:
-    return OutcomePermutation(_read_perm(text))
+def _read_outcome(text: str) -> tuple[int, ...]:
+    """The word of an outcome, checked as a permutation and certified."""
+    return _certify(_int_word(text, _check_word, "outcome", "perm"))
 
 
 def _read_prefs(text: str) -> PrefTuple:
@@ -152,16 +174,28 @@ def _read_paren(text: str) -> SpacedParen | GBsp:
     return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
 
 
-def _read_gbsp(text: str) -> GBsp:
-    x = _read_paren(text)
-    return x if isinstance(x, GBsp) else GBsp(x, {})  # valid only when F = [n]
+def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
+    """(n, F, L, g) of a g-parenthesization, read as `_read_paren` reads one and
+    checked as `GBsp` checks it; no g is valid only when F = [n]."""
+    text = text.strip()
+    if text.startswith("{"):
+        obj = _loads(text)
+        n, F, L = _check_paren(*_paren_json(obj))
+        g = _g_json(obj)
+    else:
+        n, F, L, g = _parse(text)
+        n, F, L = _check_paren(n, F, L)
+    return n, F, L, _check_g(n, F, L, g)
 
 
-def _read_partition(text: str) -> SetPartition:
+def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """n and the sorted blocks of a partition, checked as `SetPartition` checks them."""
     text = text.strip()
     if text.startswith("{") and not text.startswith("{{") and '"' in text:
-        return SetPartition.from_json_obj(_loads(text))
-    return SetPartition.from_text(text)
+        n, blocks = _blocks_json(_loads(text))
+    else:
+        n, blocks = _parse_blocks(text)
+    return n, _check_blocks(n, blocks)
 
 
 def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
@@ -187,19 +221,30 @@ def _park(a: PrefTuple) -> dict:
     return {"failed_car": result.failed_car}
 
 
-def _to_gbsp(p: OutcomePermutation) -> dict:
-    F, L, g = _phi_prime(p.word)
-    return _gbsp_obj(p.n, F, L, _g_pairs(F, g))
+def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
+    F, L, g = _phi_prime(word)
+    return _gbsp_obj(len(word), F, L, _g_pairs(F, g))
 
 
-def _to_partition(p: OutcomePermutation) -> dict:
+def _outcome_to_partition(word: tuple[int, ...]) -> dict:
     # _from_gbsp lists the blocks in closing order; sorting puts them by minimum
-    return _blocks(sorted(_from_gbsp(p.n, *_phi_prime(p.word))))
+    return _blocks(sorted(_from_gbsp(len(word), *_phi_prime(word))))
+
+
+def _outcome(word: tuple[int, ...]) -> dict:
+    """The JSON object of a rebuilt outcome, checked and certified as
+    `OutcomePermutation` certifies it."""
+    return {"outcome": list(_certify(_check_word(word)))}
+
+
+def _partition_to_outcome(partition) -> dict:
+    n, blocks = partition
+    return _outcome(_phi_prime_inv(n, *_to_gbsp(n, blocks)))
 
 
 # each transform verb reads one value per input, checked, and maps it to one JSON
-# line.  The bijection legs write their sweeps' plain output, except that a leg
-# whose output is an outcome certifies it through OutcomePermutation.
+# line.  The bijection legs read and write plain values, checked by the same
+# functions as the constructors, and a leg whose output is an outcome certifies it.
 _TRANSFORMS = {
     "park": (_read_prefs, _park),
     "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
@@ -207,14 +252,11 @@ _TRANSFORMS = {
         lambda text: _int_word(text, InversionTable, "table"),
         lambda t: {"perm": from_inversion_table(t).to_json_obj()},
     ),
-    "phi": (_read_outcome, lambda p: phi(p).to_json_obj()),
-    "to-gbsp": (_read_outcome, _to_gbsp),
-    "from-gbsp": (_read_gbsp, lambda gb: {"outcome": phi_prime_inv(gb).perm.to_json_obj()}),
-    "to-partition": (_read_outcome, _to_partition),
-    "from-partition": (
-        _read_partition,
-        lambda b: {"outcome": partition_to_outcome(b).perm.to_json_obj()},
-    ),
+    "phi": (lambda text: OutcomePermutation(_read_perm(text)), lambda p: phi(p).to_json_obj()),
+    "to-gbsp": (_read_outcome, _outcome_to_gbsp),
+    "from-gbsp": (_read_gbsp, lambda gb: _outcome(_phi_prime_inv(*gb))),
+    "to-partition": (_read_outcome, _outcome_to_partition),
+    "from-partition": (_read_partition, _partition_to_outcome),
 }
 
 

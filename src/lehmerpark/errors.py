@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 
 class LehmerError(ValueError):
     """Base class for domain validation failures; `code` is machine-readable."""
@@ -33,6 +35,7 @@ class GbspError(LehmerError):
 
 
 _INT = frozenset({int})
+_PAIR = frozenset({2})
 
 
 def _int(value, what: str) -> int:
@@ -54,6 +57,8 @@ def _ints(values, what: str) -> tuple[int, ...]:
 def _int_pairs(values, what: str) -> tuple[tuple[int, int], ...]:
     """`values` as pairs of integers, such as points or (space, value) entries."""
     pairs = tuple(map(tuple, values))
+    if set(map(len, pairs)) <= _PAIR and set(map(type, chain.from_iterable(pairs))) <= _INT:
+        return pairs
     for pos, pair in enumerate(pairs, start=1):
         if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
             raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",

@@ -46,32 +46,44 @@ class SpacedParen:
     L: frozenset[int]
 
     def __post_init__(self) -> None:
-        F = _distinct(_ints(self.F, "F"), "F")
-        L = _distinct(_ints(self.L, "L"), "L")
+        _, F, L = _check_paren(self.n, self.F, self.L)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "L", L)
-        if _int(self.n, "n") < 0:
-            raise ValueError("n must be nonnegative")
-        for name, members in (("F", F), ("L", L)):
-            if members and (min(members) < 1 or max(members) > self.n):
-                bad = sorted(i for i in members if not 1 <= i <= self.n)
-                raise ValueError(f"{name} contains spaces outside [1, {self.n}]: {bad}")
-        if len(F) != len(L):
-            raise ValueError(f"|F| = {len(F)} differs from |L| = {len(L)}")
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "F": sorted(self.F), "L": sorted(self.L)}
 
     @classmethod
     def from_json_obj(cls, obj) -> "SpacedParen":
-        try:
-            n, F, L = obj["n"], obj["F"], obj["L"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
-        return cls(n, _json_array(F, "F"), _json_array(L, "L"))
+        return cls(*_paren_json(obj))
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _check_paren(n, F, L) -> tuple[int, frozenset[int], frozenset[int]]:
+    """The check of `SpacedParen`: (n, F, L), F and L as sets, or the first
+    error found.  The constructor and the CLI both read through it."""
+    F = _distinct(_ints(F, "F"), "F")
+    L = _distinct(_ints(L, "L"), "L")
+    if _int(n, "n") < 0:
+        raise ValueError("n must be nonnegative")
+    for name, members in (("F", F), ("L", L)):
+        if members and (min(members) < 1 or max(members) > n):
+            bad = sorted(i for i in members if not 1 <= i <= n)
+            raise ValueError(f"{name} contains spaces outside [1, {n}]: {bad}")
+    if len(F) != len(L):
+        raise ValueError(f"|F| = {len(F)} differs from |L| = {len(L)}")
+    return n, F, L
+
+
+def _paren_json(obj) -> tuple:
+    """n, F and L of a parenthesization's JSON object, checked only for shape."""
+    try:
+        n, F, L = obj["n"], obj["F"], obj["L"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
+    return n, _json_array(F, "F"), _json_array(L, "L")
 
 
 def depth(sp: SpacedParen, i: int) -> int:
@@ -176,46 +188,9 @@ class GBsp:
     g: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        raw = self.g.items() if isinstance(self.g, Mapping) else self.g
-        g_pairs = tuple(sorted(_int_pairs(raw, "g")))
-        object.__setattr__(self, "g", g_pairs)
-        n, F = self.base.n, self.base.F
-        g = dict(g_pairs)
-        if len(g) < len(g_pairs):
-            dup = next(i for (i, _), (j, _) in zip(g_pairs, g_pairs[1:]) if i == j)
-            raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
-        # g is matched with F before the depth sweep, so a huge claimed n fails
-        # fast: the scan for a missing space stops within |F| + |g| + 1 spaces
-        extra = [i for i in g if not 1 <= i <= n or i in F]
-        if extra or len(g) != n - len(F):
-            missing = next((i for i in range(1, n + 1) if i not in F and i not in g), None)
-            if missing is not None:
-                raise GbspError(
-                    f"missing g entry for space {missing}", code="g-missing", space=missing
-                )
-            raise GbspError(
-                f"unexpected g entry for space {extra[0]}", code="g-extra", space=extra[0]
-            )
-        # one depth sweep: balance fails at once, while the first g out of range
-        # is kept and reported only once the whole base is known to be balanced.
-        # The depth is at least 1 on F and drops by at most 1 per space, so it can
-        # reach 0 only outside F, where no g value fits in [1, 0].
-        L = self.base.L
-        out_of_range = None
-        d = 0
-        for i in range(1, n + 1):
-            if i in F:
-                d += 1
-            elif not 1 <= g[i] <= d:
-                if d < 1:
-                    raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
-                if out_of_range is None:
-                    out_of_range = i, d
-            if i in L:
-                d -= 1
-        if out_of_range is not None:
-            i, d = out_of_range
-            raise GbspError(f"g({i}) = {g[i]} outside [1, {d}]", code="g-out-of-range", space=i)
+        base = self.base
+        g = _check_g(base.n, base.F, base.L, self.g)
+        object.__setattr__(self, "g", tuple(_g_pairs(base.F, g)))
 
     @property
     def n(self) -> int:
@@ -230,15 +205,66 @@ class GBsp:
 
     @classmethod
     def from_json_obj(cls, obj) -> "GBsp":
-        base = SpacedParen.from_json_obj(obj)
-        g_raw = obj.get("g", {})
-        if not (isinstance(g_raw, dict) and all(str(i).isascii() and str(i).isdigit() for i in g_raw)):
-            raise ParseError(f"expected g as a JSON object keyed by space, got {g_raw!r}")
-        _distinct([int(i) for i in g_raw], "the keys of g")  # "3" and "03" name one space
-        return cls(base, {int(i): v for i, v in g_raw.items()})
+        return cls(SpacedParen.from_json_obj(obj), _g_json(obj))
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _check_g(n: int, F, L, g) -> list[int]:
+    """The check of `GBsp`: g, a mapping or (space, value) pairs, on the checked
+    base (n, F, L), as a list aligned to spaces and 0 on F, or the first error
+    found.  The constructor and the CLI both read through it."""
+    pairs = _int_pairs(g.items() if isinstance(g, Mapping) else g, "g")
+    g = dict(pairs)
+    if len(g) < len(pairs):
+        spaces = sorted(i for i, _ in pairs)
+        dup = next(i for i, j in zip(spaces, spaces[1:]) if i == j)
+        raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
+    # g is matched with F before the depth sweep, so a huge claimed n fails
+    # fast: the scan for a missing space stops within |F| + |g| + 1 spaces
+    extra = [i for i in g if not 1 <= i <= n or i in F]
+    if extra or len(g) != n - len(F):
+        missing = next((i for i in range(1, n + 1) if i not in F and i not in g), None)
+        if missing is not None:
+            raise GbspError(f"missing g entry for space {missing}", code="g-missing", space=missing)
+        extra = min(extra)
+        raise GbspError(f"unexpected g entry for space {extra}", code="g-extra", space=extra)
+    # one depth sweep: balance fails at once, while the first g out of range
+    # is kept and reported only once the whole base is known to be balanced.
+    # The depth is at least 1 on F and drops by at most 1 per space, so it can
+    # reach 0 only outside F, where no g value fits in [1, 0].
+    values = [0] * n
+    out_of_range = None
+    d = 0
+    for i in range(1, n + 1):
+        if i in F:
+            d += 1
+        else:
+            v = values[i - 1] = g[i]
+            if not 1 <= v <= d:
+                if d < 1:
+                    raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
+                if out_of_range is None:
+                    out_of_range = i, d
+        if i in L:
+            d -= 1
+    if out_of_range is not None:
+        i, d = out_of_range
+        raise GbspError(f"g({i}) = {g[i]} outside [1, {d}]", code="g-out-of-range", space=i)
+    return values
+
+
+def _g_json(obj) -> dict:
+    """g of a g-parenthesization's JSON object, keyed by space; {} when absent.
+    Its values are left to `_check_g`."""
+    g = obj.get("g", {})
+    keys = list(map(str, g)) if isinstance(g, dict) else None
+    if keys is None or not (all(map(str.isdigit, keys)) and "".join(keys).isascii()):
+        raise ParseError(f"expected g as a JSON object keyed by space, got {g!r}")
+    spaces = list(map(int, keys))
+    _distinct(spaces, "the keys of g")  # "3" and "03" name one space
+    return dict(zip(spaces, g.values()))
 
 
 def _gbsp(base: SpacedParen, g) -> GBsp:
@@ -292,9 +318,17 @@ def parse(s: str) -> SpacedParen | GBsp:
     A fully parenthesized GBsp (F = [n]) has no digit slots, so its rendering
     parses back to the bare SpacedParen.
     """
+    n, F, L, g = _parse(s)
+    base = SpacedParen(n, F, L)
+    return GBsp(base, g) if g else base
+
+
+def _parse(s: str) -> tuple[int, set[int], set[int], dict[int, int]]:
+    """(n, F, L, g) of the string grammar, g keyed by space; the tokens are
+    checked here, the values by `_check_paren` and `_check_g`."""
     s = s.strip()
     if not s:
-        return SpacedParen(0, frozenset(), frozenset())
+        return 0, set(), set(), {}
     tokens = s.split(" ")
     F: set[int] = set()
     L: set[int] = set()
@@ -314,10 +348,7 @@ def parse(s: str) -> SpacedParen | GBsp:
                     f"space {pos} opens a paren and cannot carry a g value", position=pos
                 )
             g[pos] = int(slot)
-    base = SpacedParen(len(tokens), frozenset(F), frozenset(L))
-    if g:
-        return GBsp(base, g)
-    return base
+    return len(tokens), F, L, g
 
 
 def enumerate_bsps(n: int) -> Iterator[SpacedParen]:

@@ -32,10 +32,7 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        word = _ints(self.word, "a permutation")
-        object.__setattr__(self, "word", word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ParseError(f"not a permutation of [{len(word)}]: {word!r}")
+        object.__setattr__(self, "word", _check_word(self.word))
 
     @property
     def n(self) -> int:
@@ -71,6 +68,15 @@ class Permutation:
         if 0 < self.n <= 9:
             return "".join(str(v) for v in self.word)
         return self.to_text()
+
+
+def _check_word(word) -> tuple[int, ...]:
+    """The check of `Permutation`: `word` as a tuple, or the first error found.
+    The constructor and the CLI both read through it."""
+    word = _ints(word, "a permutation")
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise ParseError(f"not a permutation of [{len(word)}]: {word!r}")
+    return word
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .errors import ParseError, _int, _ints, _json_array
@@ -32,14 +33,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(sorted(tuple(sorted(_ints(b, "a block"))) for b in self.blocks))
-        object.__setattr__(self, "blocks", blocks)
-        if any(not b for b in blocks):
-            raise ValueError("blocks must be nonempty")
-        members = sorted(x for b in blocks for x in b)
-        # the count first, so a huge claimed n fails before [1, n] is built
-        if len(members) != _int(self.n, "n") or members != list(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition [1, {self.n}]")
+        object.__setattr__(self, "blocks", _check_blocks(self.n, self.blocks))
 
     def block_of(self, x: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -52,36 +46,61 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
-        text = text.strip()
-        if not text:
-            return cls(0, ())
-        blocks = []
-        for pos, chunk in enumerate(text.split("|"), start=1):
-            m = re.fullmatch(r"\s*\{([0-9,\s]*)\}\s*", chunk)
-            if not m:
-                raise ParseError(f"bad block {chunk!r} at position {pos}", position=pos)
-            body = m.group(1)
-            entries = [x.strip() for x in body.split(",")] if body.strip() else []
-            # the pattern admits only ASCII digits, commas and whitespace
-            bad = next((x for x in entries if not x.isdigit()), None)
-            if bad is not None:
-                raise ParseError(f"bad entry {bad!r} in block {pos}", position=pos)
-            blocks.append(tuple(map(int, entries)))
-        return cls(sum(map(len, blocks)), tuple(blocks))  # a partition of [n] has n members
+        return cls(*_parse_blocks(text))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "SetPartition":
-        if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), (list, tuple)):
-            raise ParseError(f"expected a JSON object with a blocks array, got {obj!r}")
-        blocks = [_json_array(b, "a block") for b in obj["blocks"]]
-        n = obj["n"] if "n" in obj else sum(map(len, blocks))  # a partition of [n] has n members
-        return cls(n, blocks)
+        return cls(*_blocks_json(obj))
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _check_blocks(n, blocks) -> tuple[tuple[int, ...], ...]:
+    """The check of `SetPartition`: `blocks` sorted (each block ascending, blocks
+    by minimum), or the first error found.  The constructor and the CLI both
+    read through it."""
+    blocks = sorted(tuple(sorted(_ints(b, "a block"))) for b in blocks)
+    if not all(blocks):
+        raise ValueError("blocks must be nonempty")
+    members = sorted(chain.from_iterable(blocks))
+    # the count first, so a huge claimed n fails before [1, n] is built
+    if len(members) != _int(n, "n") or members != list(range(1, n + 1)):
+        raise ValueError(f"blocks do not partition [1, {n}]")
+    return tuple(blocks)
+
+
+def _parse_blocks(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """n and the blocks of the text form; the entries are checked here, the
+    partition by `_check_blocks`."""
+    text = text.strip()
+    if not text:
+        return 0, []
+    blocks = []
+    for pos, chunk in enumerate(text.split("|"), start=1):
+        m = re.fullmatch(r"\s*\{([0-9,\s]*)\}\s*", chunk)
+        if not m:
+            raise ParseError(f"bad block {chunk!r} at position {pos}", position=pos)
+        body = m.group(1)
+        entries = [x.strip() for x in body.split(",")] if body.strip() else []
+        # the pattern admits only ASCII digits, commas and whitespace
+        bad = next((x for x in entries if not x.isdigit()), None)
+        if bad is not None:
+            raise ParseError(f"bad entry {bad!r} in block {pos}", position=pos)
+        blocks.append(tuple(map(int, entries)))
+    return sum(map(len, blocks)), blocks  # a partition of [n] has n members
+
+
+def _blocks_json(obj) -> tuple[object, list]:
+    """n and the blocks of a partition's JSON object, checked only for shape."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), (list, tuple)):
+        raise ParseError(f"expected a JSON object with a blocks array, got {obj!r}")
+    blocks = [_json_array(b, "a block") for b in obj["blocks"]]
+    n = obj["n"] if "n" in obj else sum(map(len, blocks))  # a partition of [n] has n members
+    return n, blocks
 
 
 def min_max(b: SetPartition) -> SpacedParen:

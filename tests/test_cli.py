@@ -11,7 +11,13 @@ import pytest
 import lehmerpark
 import lehmerpark.cli as cli
 import lehmerpark.enumeration as enumeration
-from lehmerpark.bijection import OutcomePermutation, outcome_to_partition, phi_prime
+from lehmerpark.bijection import (
+    OutcomePermutation,
+    outcome_to_partition,
+    partition_to_outcome,
+    phi_prime,
+    phi_prime_inv,
+)
 from lehmerpark.cli import main
 from lehmerpark.paren import enumerate_gbsps
 from lehmerpark.permutation import Permutation
@@ -166,7 +172,7 @@ def _lines(objs):
 
 @pytest.mark.parametrize("n", range(9))
 def test_plain_outputs_equal_the_checked_path(capsys, monkeypatch, n):
-    # these verbs write the plain sweeps' output; the library maps, which build
+    # these verbs read and write plain values; the library maps, which build
     # and check every object, are the reference, byte for byte
     outcomes = [OutcomePermutation(Permutation(w)) for w in sorted(enumeration.iter_outcome_words(n))]
     stdin = "".join(json.dumps(list(p.word)) + "\n" for p in outcomes)
@@ -174,10 +180,16 @@ def test_plain_outputs_equal_the_checked_path(capsys, monkeypatch, n):
     assert out == _lines(phi_prime(p).to_json_obj() for p in outcomes)
     out = run_cli(capsys, "to-partition", stdin=stdin, monkeypatch=monkeypatch).out
     assert out == _lines({"blocks": [list(b) for b in outcome_to_partition(p).blocks]} for p in outcomes)
+    partitions = list(enumerate_partitions(n))
     out = run_cli(capsys, "enumerate", "partitions", "--n", str(n)).out
-    assert out == _lines({"blocks": [list(b) for b in sp.blocks]} for sp in enumerate_partitions(n))
+    assert out == _lines({"blocks": [list(b) for b in sp.blocks]} for sp in partitions)
+    out = run_cli(capsys, "from-partition", stdin=out, monkeypatch=monkeypatch).out
+    assert out == _lines({"outcome": list(partition_to_outcome(b).word)} for b in partitions)
+    gbsps = list(enumerate_gbsps(n))
     out = run_cli(capsys, "enumerate", "gbsp", "--n", str(n)).out
-    assert out == _lines(gb.to_json_obj() for gb in enumerate_gbsps(n))
+    assert out == _lines(gb.to_json_obj() for gb in gbsps)
+    out = run_cli(capsys, "from-gbsp", stdin=out, monkeypatch=monkeypatch).out
+    assert out == _lines({"outcome": list(phi_prime_inv(gb).word)} for gb in gbsps)
 
 
 def test_count_verbs(capsys):
@@ -394,11 +406,19 @@ def test_help_exits_0(capsys):
     ("invtable", "from-table", '{"table":[0,0],"table":[1,0]}'),
     ("render", "armleg", '{"n":3,"points":[[1,3]],"points":[[2,3]]}'),
     ("phi", "[1,2,3"),
+    ("to-gbsp", '{"outcome":[1,2,3],"perm":[3,2,1]}'),
+    ("render", "armleg", '{"outcome":[2,1],"perm":[1,2]}'),
 ])
 def test_json_shape_errors_exit_1_without_coercion(capsys, argv):
     captured = run_cli(capsys, *argv, expect=1)
     assert captured.out == ""
     assert json.loads(captured.err)["code"] == "parse"
+
+
+@pytest.mark.parametrize("verb", [("to-gbsp",), ("to-partition",), ("phi",), ("render", "armleg")])
+def test_an_object_holding_both_outcome_and_perm_names_both(capsys, verb):
+    err = json.loads(run_cli(capsys, *verb, '{"outcome":[1,2,3],"perm":[3,2,1]}', expect=1).err)
+    assert err == {"error": "a JSON object holds both 'outcome' and 'perm'", "code": "parse"}
 
 
 def test_outcome_membership_gate_on_transform(capsys):

@@ -17,15 +17,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lehmerpark
+import lehmerpark.cli as cli
 from lehmerpark import (
     GBsp,
     InversionTable,
     MatchedPairs,
+    OutcomePermutation,
     PartialArmLegDiagram,
     Permutation,
     PrefTuple,
     SetPartition,
     SpacedParen,
+    outcome_to_partition,
+    partition_to_outcome,
+    phi_prime,
+    phi_prime_inv,
     to_gbsp,
 )
 from lehmerpark.cli import main
@@ -146,6 +152,67 @@ def test_every_value_is_read_or_refused_with_one_json_error(verb, value):
         assert back[0] == 0, back
         again = call([*verb, back[1].strip()])
         assert again == (0, out, "")
+
+
+# g-parenthesization objects with small, often invalid, bases and g of any shape
+gbsp_objects = st.fixed_dictionaries(
+    {"n": st.integers(-1, 6), "F": st.lists(st.integers(0, 7), max_size=4),
+     "L": st.lists(st.integers(0, 7), max_size=4)},
+    optional={"g": st.dictionaries(st.sampled_from(["1", "2", "3", "4", "5", "6", "03"]),
+                                   st.integers(-1, 4), max_size=5) | json_values},
+).map(json.dumps)
+
+
+def _checked(verb, text):
+    """The library path of a roundtrip verb: the value read into checked objects
+    by the object readers, then mapped by the library."""
+    if verb == "from-gbsp":
+        x = cli._read_paren(text)
+        return {"outcome": list(phi_prime_inv(x if isinstance(x, GBsp) else GBsp(x, {})).word)}
+    if verb == "from-partition":
+        text = text.strip()
+        if text.startswith("{") and not text.startswith("{{") and '"' in text:
+            b = SetPartition.from_json_obj(cli._loads(text))
+        else:
+            b = SetPartition.from_text(text)
+        return {"outcome": list(partition_to_outcome(b).word)}
+    p = OutcomePermutation(cli._read_perm(text))
+    if verb == "to-gbsp":
+        return phi_prime(p).to_json_obj()
+    return {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]}
+
+
+def _line(obj):
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verb=st.sampled_from(["from-gbsp", "from-partition", "to-gbsp", "to-partition"]),
+       value=values | gbsp_objects)
+def test_roundtrip_verbs_equal_the_checked_library_path(verb, value):
+    try:
+        expected = (0, _line(_checked(verb, value)), "")
+    except ValueError as exc:
+        error = {"error": str(exc), "code": getattr(exc, "code", "domain")}
+        for key in ("position", "space"):
+            if getattr(exc, key, None) is not None:
+                error[key] = getattr(exc, key)
+        expected = (1, "", _line(error))
+    assert call([verb, "--", value]) == expected  # "--": a value may start with "-"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("verb", VERBS + RENDERS)
+@pytest.mark.parametrize("value", [DEEP, '{"n":' + DEEP + "}"], ids=["array", "in-object"])
+def test_deep_nesting_is_one_json_error(verb, value):
+    code, out, err = call([*verb, value])
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["code"] == "parse" and "error" in error
 
 
 @pytest.mark.parametrize("kind", ["lehmer", "outcomes", "partitions", "bsp", "gbsp"])

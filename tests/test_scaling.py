@@ -2,8 +2,9 @@
 
 A linear probe in `park` or a list scan in a rank leg is quadratic, and takes
 from seconds to about a minute at this size, so these budgets fail on it.
-The CLI's `to-partition` and `to-gbsp`, which run the plain sweeps without the
-library maps, are held to it on the nested outcome, reading and writing included.
+The CLI's roundtrip verbs, which read, check and map plain values without the
+library maps, are held to it on the nested partition and its outcome, reading
+and writing included.
 `depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
 parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
 """
@@ -90,6 +91,20 @@ def test_cli_to_gbsp_of_the_nested_outcome(nested):
     got, seconds = run_cli(["to-gbsp", ",".join(map(str, oc.word))])
     assert got == phi_prime(oc).to_json_obj()
     assert seconds < BUDGET_S, f"to-gbsp took {seconds:.2f} s at n = {N}"
+
+
+def test_cli_from_partition_of_the_nested_partition(nested):
+    b, oc = nested
+    got, seconds = run_cli(["from-partition", json.dumps({"blocks": [list(blk) for blk in b.blocks]})])
+    assert got == {"outcome": list(oc.word)}
+    assert seconds < BUDGET_S, f"from-partition took {seconds:.2f} s at n = {N}"
+
+
+def test_cli_from_gbsp_of_the_nested_partition(nested):
+    b, oc = nested
+    got, seconds = run_cli(["from-gbsp", json.dumps(to_gbsp(b).to_json_obj())])
+    assert got == {"outcome": list(oc.word)}
+    assert seconds < BUDGET_S, f"from-gbsp took {seconds:.2f} s at n = {N}"
 
 
 def test_depth_near_the_start_stops_its_sweep():
