@@ -135,7 +135,8 @@ def fiber_size(sp: SpacedParen) -> int:
     the depths over spaces outside F, a running product that holds no value per space."""
     if not is_balanced(sp):
         raise ValueError("fibers are defined only for balanced parenthesizations")
-    return math.prod(d for i, d in enumerate(_iter_depths(sp), start=1) if i not in sp.F)
+    depths = _iter_depths(sp.n, sp.F, sp.L)
+    return math.prod(d for i, d in enumerate(depths, start=1) if i not in sp.F)
 
 
 def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:

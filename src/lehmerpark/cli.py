@@ -43,12 +43,12 @@ from .paren import (
     SpacedParen,
     _check_g,
     _check_paren,
-    _g_fillings,
     _g_json,
     _g_pairs,
     _gbsp_obj,
     _paren_json,
     _parse,
+    _plain_gbsps,
     enumerate_bsps,
     parse as parse_paren,
 )
@@ -297,9 +297,8 @@ def _cmd_fiber(args) -> int:
 
 def _gbsp_objs(n: int) -> Iterator[dict]:
     """The JSON objects of enumerate_gbsps(n), written from the plain fillings."""
-    for sp in enumerate_bsps(n):
-        for g in _g_fillings(sp):
-            yield _gbsp_obj(n, sp.F, sp.L, _g_pairs(sp.F, g))
+    for sp, g in _plain_gbsps(n):
+        yield _gbsp_obj(n, sp.F, sp.L, _g_pairs(sp.F, g))
 
 
 # each enumerate kind lists the JSON objects of its family at n, one line each

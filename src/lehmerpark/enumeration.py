@@ -23,6 +23,15 @@ triangle, Catalan ratio, Stirling triangle) so the counting checks do
 not share code with the structures they count.  `verify(theorem, n_max)`
 runs one named exhaustive check for every n from 0 to n_max and reports
 counterexamples verbatim.
+
+The checks that walk the n!-, Bell- and Catalan-sized families run on the
+plain values their generators yield (staircase tuples, outcome words, blocks,
+(F, L, g)) through the plain sweeps, and build no checked object per element.
+What a constructor used to enforce becomes an explicit test: an outcome is a
+permutation (`_check_word`) that avoids the arm-leg pattern (`_certify`), and
+blocks partition [n] (`_check_blocks`).  An object that fails one is a
+discrepancy, so `verify` reports it with the rest (exit 2 on the CLI) instead
+of stopping with an error.
 """
 
 from __future__ import annotations
@@ -34,19 +43,28 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .armleg import PartialArmLegDiagram, GridPoint, arms_legs, depth_at, is_intersecting, peaks, peaks_from_pairs
-from .bijection import (
-    OutcomePermutation,
-    fiber_size,
-    outcome_to_partition,
-    partition_to_outcome,
-    phi,
-    phi_prime,
-    phi_prime_inv,
+from .bijection import OutcomePermutation, _certify, _phi_prime, _phi_prime_inv, fiber_size
+from .paren import (
+    SpacedParen,
+    _gbsp,
+    _is_balanced,
+    _plain_gbsps,
+    depths,
+    enumerate_bsps,
+    is_balanced,
+    matching_pairs,
 )
-from .paren import GBsp, SpacedParen, depths, enumerate_bsps, enumerate_gbsps, is_balanced, matching_pairs
-from .parking import PrefTuple, is_parking_function, park
-from .permutation import Permutation, _contains_132, _contains_armleg
-from .setpartition import enumerate_partitions, from_gbsp, min_max, to_gbsp
+from .parking import PrefTuple, _is_parking_function, _park
+from .permutation import Permutation, _check_word, _contains_132, _contains_armleg
+from .setpartition import (
+    _blocks_text,
+    _check_blocks,
+    _from_gbsp,
+    _min_max,
+    _partition_blocks,
+    _to_gbsp,
+    enumerate_partitions,
+)
 
 __all__ = [
     "all_lehmer",
@@ -54,6 +72,7 @@ __all__ = [
     "outcome_words",
     "outcome_set",
     "outcome_peak_counts",
+    "enumerate_partitions",
     "bell",
     "catalan",
     "verify",
@@ -66,8 +85,12 @@ def all_lehmer(n: int) -> Iterator[PrefTuple]:
     """Every staircase tuple (a_i <= n - i + 1), in lexicographic order; n! of them."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for prefs in itertools.product(*(range(1, n - i + 2) for i in range(1, n + 1))):
-        yield PrefTuple(prefs)
+    yield from map(PrefTuple, _staircase(n))
+
+
+def _staircase(n: int) -> Iterator[tuple[int, ...]]:
+    # the staircase tuples as plain tuples, in lexicographic order
+    return itertools.product(*(range(1, n - i + 2) for i in range(1, n + 1)))
 
 
 def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
@@ -238,10 +261,22 @@ def _weakly_decreasing(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.combinations_with_replacement(range(n, 0, -1), n)
 
 
-def _weakly_decreasing_lehmer(n: int) -> Iterator[PrefTuple]:
-    for prefs in _weakly_decreasing(n):
-        if all(v <= n - i for i, v in enumerate(prefs)):
-            yield PrefTuple(prefs)
+def _weakly_decreasing_staircase(n: int) -> Iterator[tuple[int, ...]]:
+    """The Catalan-many weakly decreasing staircase tuples, in decreasing
+    lexicographic order: the rightmost entry above 1 steps down, and each entry
+    after it takes the largest value left, the smaller of its left neighbour and
+    its bound n - i + 1."""
+    a = list(range(n, 0, -1))  # the largest: every entry at its bound
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i >= 0 and a[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        for j in range(i + 1, n):
+            a[j] = min(a[j - 1], n - j)
 
 
 def _each(objects, problems):
@@ -254,14 +289,43 @@ def _each(objects, problems):
     return count, bad
 
 
-def _check_lemma1_2(n: int):
-    def problems(a):
-        if not is_parking_function(a):
-            yield f"n={n}: staircase tuple {a.prefs} fails the sorted-prefix test"
-        elif not park(a).ok:
-            yield f"n={n}: parking failed for staircase tuple {a.prefs}"
+def _refusal(check, *args) -> str:
+    """The message of the ValueError with which `check` refuses `args`, or "".
+    A check records a refused object as a discrepancy and goes on."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return ""
 
-    return _each(all_lehmer(n), problems)
+
+def _as_outcome(word: tuple[int, ...]) -> tuple[int, ...]:
+    # the checks of Permutation and OutcomePermutation, on a plain word
+    return _certify(_check_word(word))
+
+
+def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    # the check of SetPartition, on plain blocks that must already be in its sorted form
+    if _check_blocks(n, blocks) != blocks:
+        raise ValueError("blocks are not in sorted form")
+    return blocks
+
+
+def _check_lemma1_2(n: int):
+    """Both tests run on the plain staircase tuples.  A tuple that parks must
+    park to a permutation (`_check_word`, the check of `park`'s outcome)."""
+
+    def problems(prefs):
+        if not _is_parking_function(prefs):
+            yield f"n={n}: staircase tuple {prefs} fails the sorted-prefix test"
+            return
+        word = _park(prefs)
+        if isinstance(word, int):
+            yield f"n={n}: parking failed for staircase tuple {prefs}"
+        elif refusal := _refusal(_check_word, word):
+            yield f"n={n}: staircase tuple {prefs} parks to {word}: {refusal}"
+
+    return _each(_staircase(n), problems)
 
 
 def _check_thm2_4(n: int):
@@ -331,88 +395,147 @@ def _check_lemma3_7(n: int):
 
 
 def _check_lemma3_9(n: int):
-    def problems(gb):
-        p = phi_prime_inv(gb)  # construction certifies outcome membership
-        if phi(p) != gb.base:
-            yield f"n={n}: filling of {gb!r} has wrong arms/legs"
+    """Each filling's word must pass `_as_outcome`; its arms and legs are the F
+    and L of `_phi_prime`, which reads the peaks as `phi` does."""
 
-    return _each(enumerate_gbsps(n), problems)
+    def problems(sp_g):
+        sp, g = sp_g
+        word = _phi_prime_inv(n, sp.F, sp.L, g)
+        if refusal := _refusal(_as_outcome, word):
+            yield f"n={n}: filling of {_gbsp(sp, g)!r} maps to outcome {word}: {refusal}"
+        elif _phi_prime(word)[:2] != (sp.F, sp.L):
+            yield f"n={n}: filling of {_gbsp(sp, g)!r} has wrong arms/legs"
+
+    return _each(_plain_gbsps(n), problems)
 
 
-def _fiber_census(n: int, images, noun: str, fiber_of: str = ""):
-    # compare how many objects land on each balanced parenthesization with fiber_size
-    counts = Counter(images)
+def _fiber_census(n: int, objects, check, image, label, noun: str, fiber_of: str = ""):
+    # compare how many objects land on each balanced parenthesization (F, L) with
+    # fiber_size; an object that `check` refuses is a discrepancy and lands nowhere
+    counts: Counter = Counter()
     bad = []
-    seen = set()
+    examined = 0
+    for x in objects:
+        examined += 1
+        if refusal := _refusal(check, x):
+            bad.append(f"n={n}: {label(x)}: {refusal}")
+        else:
+            counts[image(x)] += 1
     for sp in enumerate_bsps(n):
-        seen.add(sp)
+        examined += 1
+        got = counts.pop((sp.F, sp.L), 0)
         expected = fiber_size(sp)
-        if counts.get(sp, 0) != expected:
+        if got != expected:
             bad.append(
                 f"n={n}: {fiber_of}F={sorted(sp.F)}, L={sorted(sp.L)} has "
-                f"{counts.get(sp, 0)} {noun}, product of depths gives {expected}"
+                f"{got} {noun}, product of depths gives {expected}"
             )
-    for sp in counts:
-        if sp not in seen:
-            bad.append(f"n={n}: {noun} map to unlisted parenthesization {sp!r}")
-    return sum(counts.values()) + len(seen), bad
+    for F, L in counts:
+        bad.append(f"n={n}: {noun} map to unlisted parenthesization {SpacedParen(n, F, L)!r}")
+    return examined, bad
 
 
 def _check_cor3_10(n: int):
-    outcomes = (OutcomePermutation(Permutation(w)) for w in iter_outcome_words(n))
-    return _fiber_census(n, map(phi, outcomes), "outcomes", fiber_of="fiber of ")
+    """The walked words pass `_as_outcome`; `_phi_prime`'s F and L are their arms and legs."""
+    return _fiber_census(
+        n, iter_outcome_words(n), _as_outcome, lambda w: _phi_prime(w)[:2],
+        lambda w: f"outcome {w}", "outcomes", fiber_of="fiber of ",
+    )
 
 
-def _round_trips(n: int, objects, there, back, label):
-    # back(there(x)) == x for every object x, then there(back(gb)) == gb for every gb
+def _round_trips(n: int, objects, check, there, back, label):
+    """back(there(x)) == x for every object x, then there(back(F, L, g)) == (F, L, g)
+    for every g-parenthesization.  `check` raises ValueError on an invalid object:
+    it tests each x, and each back(F, L, g) before `there` reads it.  In the
+    forward trip, equality with the checked x stands in for the check of back's
+    output, and the reverse trip over every valid (F, L, g) pins what `there`
+    yields, so the middle value is not checked as a `GBsp`: a g out of range
+    that sends `back` past its list of open items fails the trip instead."""
     bad = []
     count = 0
     for x in objects:
         count += 1
-        if back(there(x)) != x:
+        if refusal := _refusal(check, x):
+            bad.append(f"n={n}: {label(x)}: {refusal}")
+            continue
+        try:
+            survives = back(*there(x)) == x
+        except LookupError:
+            survives = False
+        if not survives:
             bad.append(f"n={n}: {label(x)} does not survive the round trip")
-    for gb in enumerate_gbsps(n):
+    for sp, g in _plain_gbsps(n):
         count += 1
-        if there(back(gb)) != gb:
-            bad.append(f"n={n}: {gb!r} does not survive the reverse round trip")
+        y = back(sp.F, sp.L, g)
+        if refusal := _refusal(check, y):
+            bad.append(f"n={n}: {_gbsp(sp, g)!r} maps to {label(y)}: {refusal}")
+        elif there(y) != (sp.F, sp.L, g):
+            bad.append(f"n={n}: {_gbsp(sp, g)!r} does not survive the reverse round trip")
     return count, bad
 
 
 def _check_lemma3_12(n: int):
-    outcomes = (OutcomePermutation(Permutation(w)) for w in sorted(iter_outcome_words(n)))
-    return _round_trips(n, outcomes, phi_prime, phi_prime_inv, lambda p: f"outcome {p.word}")
+    """The walked words pass `_as_outcome`, and so does each word that
+    `_phi_prime_inv` rebuilds in the reverse trip; in the forward trip, the
+    rebuilt word's equality with the walked word stands in for that check."""
+    return _round_trips(
+        n, sorted(iter_outcome_words(n)), _as_outcome, _phi_prime,
+        lambda F, L, g: _phi_prime_inv(n, F, L, g), lambda w: f"outcome {w}",
+    )
 
 
 def _check_lemma3_13(n: int):
-    def problems(b):
-        if not is_balanced(min_max(b)):
-            yield f"n={n}: minima/maxima of {b.to_text()} are not balanced"
+    """Each generated partition passes `_as_partition`; balance runs on plain (n, F, L)."""
 
-    return _each(enumerate_partitions(n), problems)
+    def problems(blocks):
+        if refusal := _refusal(_as_partition, n, blocks):
+            yield f"n={n}: partition {_blocks_text(blocks)}: {refusal}"
+        elif not _is_balanced(n, *_min_max(blocks)):
+            yield f"n={n}: minima/maxima of {_blocks_text(blocks)} are not balanced"
+
+    return _each(_partition_blocks(n), problems)
 
 
 def _check_lemma3_14(n: int):
+    """The partition that g = 1 gives must pass `_as_partition` once sorted."""
+
     def problems(sp):
-        free = [i for i in range(1, n + 1) if i not in sp.F]
-        b = from_gbsp(GBsp(sp, {i: 1 for i in free}))
-        if min_max(b) != sp:
+        g = [0 if i in sp.F else 1 for i in range(1, n + 1)]
+        blocks = tuple(sorted(_from_gbsp(n, sp.F, sp.L, g)))
+        if refusal := _refusal(_as_partition, n, blocks):
+            yield f"n={n}: {sp!r} maps to partition {_blocks_text(blocks)}: {refusal}"
+        elif _min_max(blocks) != (sp.F, sp.L):
             yield f"n={n}: no partition found with minima/maxima {sp!r}"
 
     return _each(enumerate_bsps(n), problems)
 
 
 def _check_cor3_15(n: int):
-    return _fiber_census(n, map(min_max, enumerate_partitions(n)), "partitions")
+    """The generated partitions pass `_as_partition`."""
+    return _fiber_census(
+        n, _partition_blocks(n), lambda b: _as_partition(n, b), _min_max,
+        lambda b: f"partition {_blocks_text(b)}", "partitions",
+    )
 
 
 def _check_lemma3_16(n: int):
-    partitions = enumerate_partitions(n)
-    return _round_trips(n, partitions, to_gbsp, from_gbsp, lambda b: f"partition {b.to_text()}")
+    """The generated partitions pass `_as_partition`, and so does each partition
+    that `_from_gbsp` rebuilds in the reverse trip, once sorted; in the forward
+    trip, the rebuilt partition's equality with the generated one stands in for it."""
+    return _round_trips(
+        n, _partition_blocks(n), lambda b: _as_partition(n, b), lambda b: _to_gbsp(n, b),
+        lambda F, L, g: tuple(sorted(_from_gbsp(n, F, L, g))),
+        lambda b: f"partition {_blocks_text(b)}",
+    )
 
 
 def _check_thm3_1(n: int):
+    """The walked words pass `_as_outcome` and their partitions `_as_partition`.
+    The composed round trip's equality with the walked word stands in for the
+    checks of the outcome it rebuilds, and the image's equality with the
+    generated partitions for theirs."""
     outcomes = sorted(iter_outcome_words(n))
-    partitions = list(enumerate_partitions(n))
+    partitions = list(_partition_blocks(n))
     expected = bell(n)
     bad = []
     if len(outcomes) != expected:
@@ -421,54 +544,81 @@ def _check_thm3_1(n: int):
         bad.append(f"n={n}: {len(partitions)} partitions, Bell number is {expected}")
     image = set()
     for w in outcomes:
-        p = OutcomePermutation(Permutation(w))
-        b = outcome_to_partition(p)
+        if refusal := _refusal(_as_outcome, w):
+            bad.append(f"n={n}: outcome {w}: {refusal}")
+            continue
+        b = tuple(sorted(_from_gbsp(n, *_phi_prime(w))))
+        if refusal := _refusal(_as_partition, n, b):
+            bad.append(f"n={n}: outcome {w} maps to partition {_blocks_text(b)}: {refusal}")
+            continue
         image.add(b)
-        if partition_to_outcome(b) != p:
+        if _phi_prime_inv(n, *_to_gbsp(n, b)) != w:
             bad.append(f"n={n}: outcome {w} does not survive the composed round trip")
     if image != set(partitions):
         bad.append(f"n={n}: outcome-to-partition image misses some partitions")
     return len(outcomes) + len(partitions), bad
 
 
-def _check_prop4_1(n: int):
-    def problems(a):
-        result = park(a)
-        if not result.ok:
-            yield f"n={n}: weakly decreasing staircase tuple {a.prefs} failed to park"
-        elif _contains_132(result.outcome.word):
-            yield f"n={n}: outcome of {a.prefs} contains the pattern 132"
+def _park_problem(n: int, prefs: tuple[int, ...], word) -> str:
+    """What is wrong with `word`, the `_park` of the weakly decreasing staircase
+    tuple `prefs`, or "": a failed car, or a word that is no permutation
+    (`_check_word`, the check of `park`'s outcome)."""
+    if isinstance(word, int):
+        return f"n={n}: weakly decreasing staircase tuple {prefs} failed to park"
+    if refusal := _refusal(_check_word, word):
+        return f"n={n}: weakly decreasing staircase tuple {prefs} parks to {word}: {refusal}"
+    return ""
 
-    return _each(_weakly_decreasing_lehmer(n), problems)
+
+def _check_prop4_1(n: int):
+    def problems(prefs):
+        word = _park(prefs)
+        if problem := _park_problem(n, prefs, word):
+            yield problem
+        elif _contains_132(word):
+            yield f"n={n}: outcome of {prefs} contains the pattern 132"
+
+    return _each(_weakly_decreasing_staircase(n), problems)
 
 
 def _check_lemma4_2(n: int):
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def problems(a):
-        w = park(a).outcome.word
-        if w in outcomes:
-            yield f"n={n}: {outcomes[w]} and {a.prefs} park to the same outcome {w}"
+    def problems(prefs):
+        word = _park(prefs)
+        if problem := _park_problem(n, prefs, word):
+            yield problem
+        elif word in outcomes:
+            yield f"n={n}: {outcomes[word]} and {prefs} park to the same outcome {word}"
         else:
-            outcomes[w] = a.prefs
+            outcomes[word] = prefs
 
-    return _each(_weakly_decreasing_lehmer(n), problems)
+    return _each(_weakly_decreasing_staircase(n), problems)
 
 
 def _check_thm4_3(n: int):
-    wd = list(_weakly_decreasing_lehmer(n))
+    """The generated tuples are checked against the parking-function filter over
+    all weakly decreasing tuples, which shares no code with the generator."""
+    wd = list(_weakly_decreasing_staircase(n))
     bad = []
     expected = catalan(n)
     if len(wd) != expected:
         bad.append(f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}")
-    wd_parking = {prefs for prefs in _weakly_decreasing(n) if is_parking_function(PrefTuple(prefs))}
-    if {a.prefs for a in wd} != wd_parking:
+    wd_parking = {prefs for prefs in _weakly_decreasing(n) if _is_parking_function(prefs)}
+    if set(wd) != wd_parking:
         bad.append(
             f"n={n}: weakly decreasing staircase tuples differ from weakly "
             "decreasing parking functions"
         )
-    image = {park(a).outcome.word for a in wd}
-    if len(image) != len(wd):
+    words = []
+    for prefs in wd:
+        word = _park(prefs)
+        if problem := _park_problem(n, prefs, word):
+            bad.append(problem)
+        else:
+            words.append(word)
+    image = set(words)
+    if len(image) != len(words):
         bad.append(f"n={n}: parking is not injective on weakly decreasing tuples")
     avoiders = _avoiders(n, _contains_132)
     for w in sorted(image - avoiders):

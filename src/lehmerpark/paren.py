@@ -93,7 +93,7 @@ def depth(sp: SpacedParen, i: int) -> int:
     """
     if not 1 <= i <= sp.n:
         raise ValueError(f"space {i} out of range [1, {sp.n}]")
-    return next(itertools.islice(_iter_depths(sp), i - 1, None))  # the sweep stops at space i
+    return next(itertools.islice(_iter_depths(sp.n, sp.F, sp.L), i - 1, None))  # stops at space i
 
 
 def depths(sp: SpacedParen) -> tuple[int, ...]:
@@ -102,16 +102,16 @@ def depths(sp: SpacedParen) -> tuple[int, ...]:
     >>> depths(SpacedParen(7, frozenset({1, 3, 5}), frozenset({5, 6, 7})))
     (1, 1, 2, 2, 3, 2, 1)
     """
-    return tuple(_iter_depths(sp))
+    return tuple(_iter_depths(sp.n, sp.F, sp.L))
 
 
-def _iter_depths(sp: SpacedParen) -> Iterator[int]:
+def _iter_depths(n: int, F, L) -> Iterator[int]:
     d = 0
-    for i in range(1, sp.n + 1):
-        if i in sp.F:
+    for i in range(1, n + 1):
+        if i in F:
             d += 1
         yield d
-        if i in sp.L:
+        if i in L:
             d -= 1
 
 
@@ -120,7 +120,12 @@ def is_balanced(sp: SpacedParen) -> bool:
 
     Stops at the first nonpositive depth, so an unbalanced huge n costs nothing.
     """
-    return all(d >= 1 for d in _iter_depths(sp))
+    return _is_balanced(sp.n, sp.F, sp.L)
+
+
+def _is_balanced(n: int, F, L) -> bool:
+    """`is_balanced` on plain (n, F, L), F and L as sets."""
+    return all(d >= 1 for d in _iter_depths(n, F, L))
 
 
 @dataclass(frozen=True)
@@ -402,6 +407,11 @@ def _g_fillings(sp: SpacedParen) -> Iterator[list[int]]:
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
-    for sp in enumerate_bsps(n):
-        for g in _g_fillings(sp):
-            yield _gbsp(sp, g)
+    for sp, g in _plain_gbsps(n):
+        yield _gbsp(sp, g)
+
+
+def _plain_gbsps(n: int) -> Iterator[tuple[SpacedParen, list[int]]]:
+    """The base and g of every g-parenthesization on n spaces, in the order of
+    `enumerate_gbsps`, g aligned to spaces and 0 on F; unchecked."""
+    return ((sp, g) for sp in enumerate_bsps(n) for g in _g_fillings(sp))

@@ -77,32 +77,46 @@ class ParkOutcome:
 
 
 def park(a: PrefTuple) -> ParkOutcome:
-    """Run the parking procedure.  A next-free pointer with path halving finds
-    each car's spot (Knuth, TAOCP Vol. 3 §6.4; Tarjan 1975): a car crosses a run
-    of taken spots without visiting each one, so a pass costs O(n log n) at worst.
+    """Run the parking procedure on `a`; see `_park`.
 
     >>> park(PrefTuple((2, 2, 1))).outcome.word
     (3, 1, 2)
     >>> park(PrefTuple((2, 2, 3))).failed_car
     3
     """
-    n = a.n
+    result = _park(a.prefs)
+    if isinstance(result, int):
+        return ParkOutcome(failed_car=result)
+    return ParkOutcome(outcome=Permutation(result))
+
+
+def _park(prefs: tuple[int, ...]) -> tuple[int, ...] | int:
+    """The outcome word of the preferences `prefs`, each in [1, n], or the first
+    car that drives past spot n.  A next-free pointer with path halving finds
+    each car's spot (Knuth, TAOCP Vol. 3 §6.4; Tarjan 1975): a car crosses a run
+    of taken spots without visiting each one, so a pass costs O(n log n) at worst."""
+    n = len(prefs)
     spots = [0] * (n + 1)  # 1-based; spots[s] = car number or 0
     nxt = list(range(n + 2))  # nxt[s] == s iff spot s is free; n + 1 is past the street
-    for car, pref in enumerate(a.prefs, start=1):
+    for car, pref in enumerate(prefs, start=1):
         s = pref
         while nxt[s] != s:
             nxt[s] = s = nxt[nxt[s]]  # path halving: point s at its grandparent, step there
         if s > n:
-            return ParkOutcome(failed_car=car)
+            return car
         spots[s] = car
         nxt[s] = s + 1
-    return ParkOutcome(outcome=Permutation(tuple(spots[1:])))
+    return tuple(spots[1:])
 
 
 def is_parking_function(a: PrefTuple) -> bool:
     """Sorted-prefix test: the weakly increasing rearrangement satisfies a'_i <= i."""
-    return all(v <= i for i, v in enumerate(sorted(a.prefs), start=1))
+    return _is_parking_function(a.prefs)
+
+
+def _is_parking_function(prefs: tuple[int, ...]) -> bool:
+    """`is_parking_function` on plain preferences."""
+    return all(v <= i for i, v in enumerate(sorted(prefs), start=1))
 
 
 def is_lehmer(a: PrefTuple) -> bool:

@@ -42,7 +42,7 @@ class SetPartition:
         raise ValueError(f"{x} is not in [1, {self.n}]")
 
     def to_text(self) -> str:
-        return "|".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
+        return _blocks_text(self.blocks)
 
     @classmethod
     def from_text(cls, text: str) -> "SetPartition":
@@ -71,6 +71,11 @@ def _check_blocks(n, blocks) -> tuple[tuple[int, ...], ...]:
     if len(members) != _int(n, "n") or members != list(range(1, n + 1)):
         raise ValueError(f"blocks do not partition [1, {n}]")
     return tuple(blocks)
+
+
+def _blocks_text(blocks) -> str:
+    """The text form of plain blocks, such as ``{1,4}|{2,3,6}|{5}``."""
+    return "|".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
 
 
 def _parse_blocks(text: str) -> tuple[int, list[tuple[int, ...]]]:

@@ -280,6 +280,65 @@ def test_verify_discrepancy_exits_2(capsys, monkeypatch):
     assert "FAIL" in captured.err and "bad at n=2" in captured.err
 
 
+def test_verify_reports_a_leg_output_that_is_no_outcome(capsys, monkeypatch):
+    # a counterexample found inside a check is a discrepancy (exit 2), not an error
+    real = enumeration._phi_prime_inv
+    planted = (3, 4, 1, 6, 2, 5)  # a permutation that contains the arm-leg pattern
+
+    def leg(n, F, L, g):
+        return planted if n == 6 else real(n, F, L, g)
+
+    monkeypatch.setattr(enumeration, "_phi_prime_inv", leg)
+    captured = run_cli(capsys, "verify", "lemma3.9", "--n-max", "6", expect=2)
+    report = json.loads(captured.out)
+    line = (
+        "n=6: filling of GBsp(base=SpacedParen(n=6, F=frozenset({1}), L=frozenset({6})), "
+        "g=((2, 1), (3, 1), (4, 1), (5, 1), (6, 1))) maps to outcome (3, 4, 1, 6, 2, 5): "
+        "3,4,1,6,2,5 contains the arm-leg pattern and is not the outcome of any staircase "
+        "preference tuple"
+    )
+    assert report["pass"] is False and report["discrepancies"][0] == line
+    assert len(report["discrepancies"]) == 203  # one per filling at n = 6
+    assert f"  {line}\n" in captured.err
+
+
+def test_verify_reports_a_leg_whose_blocks_miss_an_element(capsys, monkeypatch):
+    real = enumeration._from_gbsp
+
+    def leg(n, F, L, g):
+        blocks = real(n, F, L, g)
+        return blocks[1:] if n == 3 else blocks  # drops the block that closes first
+
+    monkeypatch.setattr(enumeration, "_from_gbsp", leg)
+    captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "3", expect=2)
+    report = json.loads(captured.out)
+    line = (
+        "n=3: GBsp(base=SpacedParen(n=3, F=frozenset({1, 3}), L=frozenset({2, 3})), "
+        "g=((2, 1),)) maps to partition {3}: blocks do not partition [1, 3]"
+    )
+    assert report["pass"] is False and report["objects_checked"] == 18
+    assert line in report["discrepancies"]
+    assert f"  {line}\n" in captured.err
+
+
+def test_verify_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch):
+    # the forward trip's middle value is not checked as a GBsp; a g past the
+    # depth makes the other leg index past its open blocks, and fails the trip
+    real = enumeration._to_gbsp
+
+    def leg(n, blocks):
+        F, L, g = real(n, blocks)
+        return F, L, [v + 1 if v else 0 for v in g]
+
+    monkeypatch.setattr(enumeration, "_to_gbsp", leg)
+    captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "2", expect=2)
+    assert json.loads(captured.out)["discrepancies"] == [
+        "n=2: partition {1,2} does not survive the round trip",
+        "n=2: GBsp(base=SpacedParen(n=2, F=frozenset({1}), L=frozenset({2})), g=((2, 1),)) "
+        "does not survive the reverse round trip",
+    ]
+
+
 def test_verify_unknown_theorem_exits_1(capsys):
     captured = run_cli(capsys, "verify", "thm9.9", expect=1)
     assert captured.out == ""

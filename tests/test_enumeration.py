@@ -21,9 +21,9 @@ from lehmerpark.enumeration import (
     verify,
 )
 from lehmerpark.bijection import OutcomePermutation, outcome_to_partition
-from lehmerpark.paren import SpacedParen, enumerate_bsps
+from lehmerpark.paren import GBsp, SpacedParen, enumerate_bsps
 from lehmerpark.permutation import Permutation
-from lehmerpark.parking import ParkOutcome, PrefTuple, park
+from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition
 
 # frozen reference values, copied by hand
@@ -170,6 +170,34 @@ def test_all_partial_diagrams_are_the_bell_many_rook_placements():
             assert all(1 <= c <= n and n - c + 1 <= r <= n for c, r in t.points), t
 
 
+def test_weakly_decreasing_staircase_tuples_are_the_filtered_multisets():
+    # generated directly, in the order of the filter over all C(2n - 1, n) multisets
+    for n in range(11):
+        filtered = [
+            prefs for prefs in itertools.combinations_with_replacement(range(n, 0, -1), n)
+            if all(v <= n - i for i, v in enumerate(prefs))
+        ]
+        assert list(enumeration._weakly_decreasing_staircase(n)) == filtered, f"n={n}"
+        assert len(filtered) == catalan(n), f"n={n}"
+
+
+@pytest.mark.parametrize("theorem", ["lemma1.2", "lemma3.12", "lemma3.13", "lemma3.16", "thm3.1"])
+def test_heavy_checks_build_no_checked_object_per_enumerated_object(monkeypatch, theorem):
+    # the checks walk plain values: no constructor check runs, not even once per n
+    built = Counter()
+    for cls in (PrefTuple, Permutation, OutcomePermutation, GBsp, SetPartition):
+        def spy(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    assert Permutation((2, 1)).word == (2, 1) and built == {"Permutation": 1}  # the spies count
+    built.clear()
+    report = verify(theorem, 5)
+    assert report.passed and report.objects_checked == OBJECTS_AT_5[theorem]
+    assert built == {}
+
+
 def test_a_repeated_outcome_fails_the_bell_count(monkeypatch):
     walk = enumeration.iter_outcome_words
 
@@ -279,7 +307,7 @@ def test_objects_checked_at_n_max_5():
 
 
 def test_failing_check_reports_every_object(monkeypatch):
-    monkeypatch.setattr(enumeration, "park", lambda a: ParkOutcome(failed_car=1))
+    monkeypatch.setattr(enumeration, "_park", lambda prefs: 1)  # the first car fails
     report = verify("lemma1.2", 3)
     assert report.objects_checked == 10
     assert report.discrepancies == (

@@ -10,6 +10,7 @@ from lehmerpark.paren import (
     GBsp,
     MatchedPairs,
     SpacedParen,
+    _is_balanced,
     depth,
     depths,
     enumerate_bsps,
@@ -57,6 +58,20 @@ def test_depth_matches_oracle_everywhere():
             assert depths(sp) == tuple(oracle_depth(sp, i) for i in range(1, n + 1))
             assert all(depth(sp, i) == oracle_depth(sp, i) for i in range(1, n + 1))
             assert is_balanced(sp) == all(oracle_depth(sp, i) >= 1 for i in range(1, n + 1))
+
+
+def test_plain_balance_test_matches_is_balanced():
+    # every (F, L) of [n], unequal sizes too, against the depth by its definition;
+    # is_balanced takes the equal-size pairs, the ones SpacedParen accepts
+    for n in range(7):
+        spaces = range(1, n + 1)
+        subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(spaces, k)]
+        for F in subsets:
+            for L in subsets:
+                want = all(len([f for f in F if f <= i]) - len([l for l in L if l < i]) >= 1 for i in spaces)
+                assert _is_balanced(n, F, L) == want, (n, F, L)
+                if len(F) == len(L):
+                    assert is_balanced(SpacedParen(n, F, L)) == want, (n, F, L)
 
 
 def test_depth_rejects_out_of_range_positions():

@@ -9,6 +9,7 @@ from lehmerpark.enumeration import all_lehmer
 from lehmerpark.parking import (
     ParkOutcome,
     PrefTuple,
+    _park,
     canonical_lehmer_preimage,
     is_lehmer,
     is_parking_function,
@@ -71,6 +72,19 @@ def test_park_matches_simulation_oracle_on_all_tuples():
     for n in range(6):
         for prefs in itertools.product(range(1, n + 1), repeat=n):
             assert_park_matches_oracle(prefs)
+
+
+def test_plain_park_matches_park_and_the_oracle_on_all_tuples():
+    # _park gives the word, or the failed car as a bare int
+    for n in range(7):
+        for prefs in itertools.product(range(1, n + 1), repeat=n):
+            plain = _park(prefs)
+            want = oracle_park(prefs)
+            got = park(PrefTuple(prefs))
+            if want[0] == "park":
+                assert plain == want[1] == got.outcome.word, prefs
+            else:
+                assert plain == want[1] == got.failed_car, prefs
 
 
 @pytest.mark.parametrize("window", [2, 2000], ids=["shallow", "deep"])
