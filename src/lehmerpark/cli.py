@@ -15,77 +15,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
-from .armleg import PartialArmLegDiagram
-from .bijection import (
-    OutcomePermutation,
-    _certify,
-    _phi_prime,
-    _phi_prime_inv,
-    fiber,
-    fiber_size,
-    phi,
-)
-from .enumeration import (
-    all_lehmer,
-    bell,
-    catalan,
-    describe_theorem,
-    iter_outcome_words,
-    outcome_peak_counts,
-    theorem_ids,
-    verify,
-)
-from .errors import LehmerError, ParseError, _distinct, _json_array
-from .paren import (
-    GBsp,
-    SpacedParen,
-    _check_g,
-    _check_paren,
-    _g_json,
-    _g_pairs,
-    _gbsp_obj,
-    _paren_json,
-    _parse,
-    _plain_gbsps,
-    enumerate_bsps,
-    parse as parse_paren,
-)
-from .parking import (
-    PrefTuple,
-    is_lehmer,
-    is_parking_function,
-    is_weakly_decreasing,
-    park,
-)
-from .permutation import (
-    InversionTable,
-    Permutation,
-    _check_word,
-    _parse_int_word,
-    contains_armleg_pattern,
-    from_inversion_table,
-    inversion_table,
-)
-from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
-from .setpartition import (
-    _blocks_json,
-    _check_blocks,
-    _from_gbsp,
-    _parse_blocks,
-    _partition_blocks,
-    _to_gbsp,
-)
+# the standard library, errors and counting only: every other module is imported
+# inside the handler of a verb that runs it, once per process
+from .counting import bell, catalan, iter_outcome_words, outcome_peak_counts
+from .errors import LehmerError, ParseError, _distinct
 
 
-# built once: json.dumps with non-default separators builds a new encoder per call.
-# The CLI encodes only fresh trees of dicts, lists and scalars, never a cycle.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# the C encoder that json.dumps(obj, separators=(",", ":")) builds on every call, built
+# once: (markers, default, encoder, indent, key_separator, item_separator, sort_keys,
+# skipkeys, allow_nan).  The CLI encodes only fresh trees of dicts, lists and scalars,
+# never a cycle, so no markers.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", False, False, True,
+)
 
 
 def _dump(obj) -> str:
-    return _ENCODER.encode(obj)
+    return "".join(_ENCODE(obj, 0))
 
 
 def _emit(obj) -> None:
@@ -125,157 +74,27 @@ def _inputs(value: str | None) -> Iterator[str]:
             yield line
 
 
-def _int_word(text: str, make, *keys: str):
-    """`make` of the integers of a permutation, preference tuple or inversion table:
-    a JSON array, a JSON object holding one under the first of `keys` it has, or the
-    comma or digit text form.  `make` checks each entry."""
-    text = text.strip()
-    if text.startswith(("[", "{")):
-        return _json_word(_loads(text), make, *keys)
-    word = _parse_int_word(text)
-    try:
-        return make(word)
-    except ValueError as exc:
-        if len(word) > 1 and "," not in text:  # the digit form was read: say so
-            exc.args = (f"{exc}; the digit string {text!r} is read one digit per entry",)
-        raise
-
-
-def _json_word(value, make, *keys: str):
-    if isinstance(value, dict):
-        present = [key for key in keys if key in value]
-        if len(present) > 1:
-            raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
-        if present:
-            value = value[present[0]]
-    return make(_json_array(value, "the integers"))
-
-
-def _read_perm(text: str) -> Permutation:
-    return _int_word(text, Permutation, "outcome", "perm")
-
-
-def _read_outcome(text: str) -> tuple[int, ...]:
-    """The word of an outcome, checked as a permutation and certified."""
-    return _certify(_int_word(text, _check_word, "outcome", "perm"))
-
-
-def _read_prefs(text: str) -> PrefTuple:
-    return _int_word(text, PrefTuple)
-
-
-def _read_paren(text: str) -> SpacedParen | GBsp:
-    """A parenthesization as JSON, augmented exactly when it has a "g" key, or
-    as the string grammar, augmented exactly when a slot holds a digit."""
-    text = text.strip()
-    if not text.startswith("{"):
-        return parse_paren(text)
-    obj = _loads(text)
-    return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
-
-
-def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
-    """(n, F, L, g) of a g-parenthesization, read as `_read_paren` reads one and
-    checked as `GBsp` checks it; no g is valid only when F = [n]."""
-    text = text.strip()
-    if text.startswith("{"):
-        obj = _loads(text)
-        n, F, L = _check_paren(*_paren_json(obj))
-        g = _g_json(obj)
-    else:
-        n, F, L, g = _parse(text)
-        n, F, L = _check_paren(n, F, L)
-    return n, F, L, _check_g(n, F, L, g)
-
-
-def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """n and the sorted blocks of a partition, checked as `SetPartition` checks them."""
-    text = text.strip()
-    if text.startswith("{") and not text.startswith("{{") and '"' in text:
-        n, blocks = _blocks_json(_loads(text))
-    else:
-        n, blocks = _parse_blocks(text)
-    return n, _check_blocks(n, blocks)
-
-
-def _read_armleg(text: str) -> Permutation | PartialArmLegDiagram:
-    """A diagram exactly when the value is a JSON object with a "points" key."""
-    text = text.strip()
-    if not text.startswith("{"):
-        return _read_perm(text)
-    value = _loads(text)
-    if "points" in value:
-        return PartialArmLegDiagram.from_json_obj(value)
-    return _json_word(value, Permutation, "outcome", "perm")
-
-
 def _blocks(blocks) -> dict:
     """The JSON object of a partition's blocks, already in `SetPartition` order."""
     return {"blocks": [list(blk) for blk in blocks]}
 
 
-def _park(a: PrefTuple) -> dict:
-    result = park(a)
-    if result.ok:
-        return {"outcome": result.outcome.to_json_obj()}
-    return {"failed_car": result.failed_car}
-
-
-def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
-    F, L, g = _phi_prime(word)
-    return _gbsp_obj(len(word), F, L, _g_pairs(F, g))
-
-
-def _outcome_to_partition(word: tuple[int, ...]) -> dict:
-    # _from_gbsp lists the blocks in closing order; sorting puts them by minimum
-    return _blocks(sorted(_from_gbsp(len(word), *_phi_prime(word))))
-
-
-def _outcome(word: tuple[int, ...]) -> dict:
-    """The JSON object of a rebuilt outcome, checked and certified as
-    `OutcomePermutation` certifies it."""
-    return {"outcome": list(_certify(_check_word(word)))}
-
-
-def _partition_to_outcome(partition) -> dict:
-    n, blocks = partition
-    return _outcome(_phi_prime_inv(n, *_to_gbsp(n, blocks)))
-
-
-# each transform verb reads one value per input, checked, and maps it to one JSON
-# line.  The bijection legs read and write plain values, checked by the same
-# functions as the constructors, and a leg whose output is an outcome certifies it.
-_TRANSFORMS = {
-    "park": (_read_prefs, _park),
-    "to-table": (_read_perm, lambda p: {"table": inversion_table(p).to_json_obj()}),
-    "from-table": (
-        lambda text: _int_word(text, InversionTable, "table"),
-        lambda t: {"perm": from_inversion_table(t).to_json_obj()},
-    ),
-    "phi": (lambda text: OutcomePermutation(_read_perm(text)), lambda p: phi(p).to_json_obj()),
-    "to-gbsp": (_read_outcome, _outcome_to_gbsp),
-    "from-gbsp": (_read_gbsp, lambda gb: _outcome(_phi_prime_inv(*gb))),
-    "to-partition": (_read_outcome, _outcome_to_partition),
-    "from-partition": (_read_partition, _partition_to_outcome),
-}
-
-
 def _cmd_transform(args) -> int:
+    from ._readers import _TRANSFORMS
+
     read, apply = _TRANSFORMS[getattr(args, "direction", args.verb)]
     for text in _inputs(args.value):
         _emit(apply(read(text)))
     return 0
 
 
-_CHECKS = {
-    "parking-function": lambda text: is_parking_function(_read_prefs(text)),
-    "lehmer": lambda text: is_lehmer(_read_prefs(text)),
-    "weakly-decreasing": lambda text: is_weakly_decreasing(_read_prefs(text)),
-    "outcome-membership": lambda text: not contains_armleg_pattern(_read_perm(text)),
-}
+# the keys of `_readers._CHECKS`, listed here so that the parser loads no object module
+_CHECK_KINDS = ("lehmer", "outcome-membership", "parking-function", "weakly-decreasing")
 
 
 def _cmd_check(args) -> int:
+    from ._readers import _CHECKS
+
     run = _CHECKS[args.kind]
     for text in _inputs(args.value):
         _emit({"value": text, "check": args.kind, "ok": run(text)})
@@ -283,6 +102,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    from ._readers import _read_paren
+    from .bijection import fiber, fiber_size
+    from .paren import GBsp
+
     for text in _inputs(args.value):
         sp = _read_paren(text)
         if isinstance(sp, GBsp):
@@ -295,18 +118,39 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
+def _lehmer_objs(n: int) -> Iterator[list[int]]:
+    from .enumeration import all_lehmer
+    from .parking import PrefTuple
+
+    return map(PrefTuple.to_json_obj, all_lehmer(n))
+
+
+def _partition_objs(n: int) -> Iterator[dict]:
+    from .setpartition import _partition_blocks
+
+    return map(_blocks, _partition_blocks(n))
+
+
+def _bsp_objs(n: int) -> Iterator[dict]:
+    from .paren import SpacedParen, enumerate_bsps
+
+    return map(SpacedParen.to_json_obj, enumerate_bsps(n))
+
+
 def _gbsp_objs(n: int) -> Iterator[dict]:
     """The JSON objects of enumerate_gbsps(n), written from the plain fillings."""
+    from .paren import _g_pairs, _gbsp_obj, _plain_gbsps
+
     for sp, g in _plain_gbsps(n):
         yield _gbsp_obj(n, sp.F, sp.L, _g_pairs(sp.F, g))
 
 
 # each enumerate kind lists the JSON objects of its family at n, one line each
 _FAMILIES = {
-    "lehmer": lambda n: map(PrefTuple.to_json_obj, all_lehmer(n)),
+    "lehmer": _lehmer_objs,
     "outcomes": lambda n: ({"outcome": list(w)} for w in sorted(iter_outcome_words(n))),
-    "partitions": lambda n: map(_blocks, _partition_blocks(n)),
-    "bsp": lambda n: map(SpacedParen.to_json_obj, enumerate_bsps(n)),
+    "partitions": _partition_objs,
+    "bsp": _bsp_objs,
     "gbsp": _gbsp_objs,
 }
 
@@ -335,7 +179,21 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _theorem_id(text: str) -> str:
+    """The id itself, if the verify registry has it.  Checked as argparse checks a
+    choice and with its words, so that only `verify` loads the registry."""
+    from .enumeration import theorem_ids
+
+    ids = theorem_ids()
+    if text not in ids:
+        choices = ", ".join(map(repr, ids))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
 def _cmd_verify(args) -> int:
+    from .enumeration import describe_theorem, verify
+
     report = verify(args.theorem, args.n_max)
     _emit(report.to_json_obj())
     status = "pass" if report.passed else "FAIL"
@@ -351,6 +209,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from ._readers import _read_armleg, _read_paren
+    from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
+
     svg = args.format == "svg"
     for text in _inputs(args.value):
         if args.kind == "armleg":
@@ -390,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("park", _cmd_transform, "run the parking procedure on a preference tuple")
 
     p = add("check", _cmd_check, "test a membership predicate", value=False)
-    p.add_argument("kind", choices=sorted(_CHECKS))
+    p.add_argument("kind", choices=_CHECK_KINDS)
     p.add_argument("value", nargs="?")
 
     p = add("invtable", _cmd_transform, "inversion table of a permutation, or back", value=False)
@@ -415,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = add("verify", _cmd_verify, "run a named exhaustive check", value=False)
-    p.add_argument("theorem", choices=theorem_ids(), metavar="theorem")
+    p.add_argument("theorem", type=_theorem_id)
     p.add_argument("--n-max", type=int, default=None)
 
     p = add("render", _cmd_render, "draw a diagram or parenthesization", value=False)

@@ -124,8 +124,17 @@ def is_balanced(sp: SpacedParen) -> bool:
 
 
 def _is_balanced(n: int, F, L) -> bool:
-    """`is_balanced` on plain (n, F, L), F and L as sets."""
-    return all(d >= 1 for d in _iter_depths(n, F, L))
+    """`is_balanced` on plain (n, F, L), F and L as sets: the `_iter_depths`
+    sweep as a loop, which `verify` runs once per partition."""
+    d = 0
+    for i in range(1, n + 1):
+        if i in F:
+            d += 1
+        if d < 1:
+            return False
+        if i in L:
+            d -= 1
+    return True
 
 
 @dataclass(frozen=True)

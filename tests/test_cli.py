@@ -15,6 +15,7 @@ from lehmerpark.bijection import (
     OutcomePermutation,
     outcome_to_partition,
     partition_to_outcome,
+    phi,
     phi_prime,
     phi_prime_inv,
 )
@@ -437,6 +438,65 @@ def test_usage_errors_exit_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == "usage", argv
+
+
+_THEOREMS = (
+    "'lemma1.2', 'thm2.4', 'lemma3.4', 'lemma3.5', 'lemma3.7', 'lemma3.9', 'cor3.10', "
+    "'lemma3.12', 'lemma3.13', 'lemma3.14', 'cor3.15', 'lemma3.16', 'thm3.1', 'prop4.1', "
+    "'lemma4.2', 'thm4.3', 'stirling'"
+)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "nosuch"], '{"error":"argument theorem: invalid choice: \'nosuch\' '
+                           f'(choose from {_THEOREMS})","code":"usage"}}\n'),
+    (["verify", "nosuch", "--n-max", "x"], '{"error":"argument theorem: invalid choice: '
+                                           f'\'nosuch\' (choose from {_THEOREMS})","code":"usage"}}\n'),
+    (["verify"], '{"error":"the following arguments are required: theorem","code":"usage"}\n'),
+    (["count", "nosuch", "--n", "1"], '{"error":"argument kind: invalid choice: \'nosuch\' '
+                                      '(choose from \'bell\', \'catalan\', \'outcomes\')",'
+                                      '"code":"usage"}\n'),
+])
+def test_usage_errors_are_argparse_s_own_words(capsys, argv, err):
+    # the theorem id is checked on use, not from a choices list built with the parser
+    assert run_cli(capsys, *argv, expect=1) == ("", err)
+
+
+def test_check_kinds_are_the_keys_of_the_check_table():
+    from lehmerpark._readers import _CHECKS
+
+    assert list(cli._CHECK_KINDS) == sorted(_CHECKS)
+
+
+def _output_shapes():
+    """One object of every shape the CLI writes, built by the library."""
+    from lehmerpark import GBsp, InversionTable, PrefTuple, SpacedParen, verify
+
+    p = Permutation((3, 4, 1, 5, 2, 6))
+    oc = OutcomePermutation(p)
+    yield {"outcome": p.to_json_obj()}
+    yield {"failed_car": 3}
+    yield {"table": InversionTable((0, 1, 0)).to_json_obj()}
+    yield {"perm": p.to_json_obj()}
+    yield phi(oc).to_json_obj()
+    yield phi_prime(oc).to_json_obj()
+    yield {"blocks": [list(blk) for blk in outcome_to_partition(oc).blocks]}
+    yield {"value": "2,2,1", "check": "lehmer", "ok": True}
+    yield PrefTuple((2, 2, 1)).to_json_obj()
+    yield SpacedParen(3, frozenset({1, 2}), frozenset({2, 3})).to_json_obj()
+    yield next(iter(enumerate_gbsps(4))).to_json_obj()
+    yield GBsp(SpacedParen(1, frozenset({1}), frozenset({1})), {}).to_json_obj()
+    yield verify("thm2.4", 3).to_json_obj()  # its float seconds
+    yield {**verify("thm2.4", 2).to_json_obj(), "seconds": 0.1 + 0.2, "discrepancies": ["n=2: \u00e9"]}
+    yield {"error": "bad token '\u2192' at space 1 \"quoted\"\t\\", "code": "parse", "position": 1}
+    yield {"error": "no such \U0001f600", "code": "g-out-of-range", "space": 2}
+    yield []
+    yield {}
+
+
+@pytest.mark.parametrize("obj", list(_output_shapes()))
+def test_dump_is_json_dumps_with_compact_separators(obj):
+    assert cli._dump(obj) == json.dumps(obj, separators=(",", ":"))
 
 
 def test_help_exits_0(capsys):

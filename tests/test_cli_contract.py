@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lehmerpark
+import lehmerpark._readers as readers
 import lehmerpark.cli as cli
 from lehmerpark import (
     GBsp,
@@ -167,7 +168,7 @@ def _checked(verb, text):
     """The library path of a roundtrip verb: the value read into checked objects
     by the object readers, then mapped by the library."""
     if verb == "from-gbsp":
-        x = cli._read_paren(text)
+        x = readers._read_paren(text)
         return {"outcome": list(phi_prime_inv(x if isinstance(x, GBsp) else GBsp(x, {})).word)}
     if verb == "from-partition":
         text = text.strip()
@@ -176,7 +177,7 @@ def _checked(verb, text):
         else:
             b = SetPartition.from_text(text)
         return {"outcome": list(partition_to_outcome(b).word)}
-    p = OutcomePermutation(cli._read_perm(text))
+    p = OutcomePermutation(readers._read_perm(text))
     if verb == "to-gbsp":
         return phi_prime(p).to_json_obj()
     return {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]}

@@ -4,6 +4,7 @@ import pytest
 
 import lehmerpark.armleg
 import lehmerpark.bijection
+import lehmerpark.counting
 import lehmerpark.enumeration
 import lehmerpark.paren
 import lehmerpark.parking
@@ -19,6 +20,7 @@ import lehmerpark.setpartition
     lehmerpark.armleg,
     lehmerpark.setpartition,
     lehmerpark.bijection,
+    lehmerpark.counting,  # the walk and the recurrences that enumeration imports back
     lehmerpark.enumeration,
     lehmerpark.render,
 ])
