@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import _plain
 from .errors import ParseError, _distinct, _int, _int_pairs, _json_array
 from .paren import MatchedPairs, SpacedParen
-from .permutation import Permutation, _armleg_crossing
+from .permutation import Permutation
 
 __all__ = [
     "GridPoint",
@@ -104,7 +105,7 @@ def is_intersecting(t: PartialArmLegDiagram) -> bool:
     """True iff some arm crosses some leg; equivalently, points in columns
     i < j exist with n - i + 1 <= row_j < row_i."""
     rows = dict(t.points)  # column -> row; 0 marks an empty column
-    return _armleg_crossing([rows.get(c, 0) for c in range(1, t.n + 1)]) is not None
+    return _plain._armleg_crossing([rows.get(c, 0) for c in range(1, t.n + 1)]) is not None
 
 
 def peaks_from_pairs(pairs: MatchedPairs, n: int) -> PartialArmLegDiagram:

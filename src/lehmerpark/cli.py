@@ -19,7 +19,7 @@ from collections.abc import Iterator
 
 # the standard library, errors and counting only: every other module is imported
 # inside the handler of a verb that runs it, once per process
-from .counting import bell, catalan, iter_outcome_words, outcome_peak_counts
+from .counting import _staircase, bell, catalan, iter_outcome_words, outcome_peak_counts
 from .errors import LehmerError, ParseError, _distinct
 
 
@@ -118,36 +118,28 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
-def _lehmer_objs(n: int) -> Iterator[list[int]]:
-    from .enumeration import all_lehmer
-    from .parking import PrefTuple
-
-    return map(PrefTuple.to_json_obj, all_lehmer(n))
-
-
 def _partition_objs(n: int) -> Iterator[dict]:
-    from .setpartition import _partition_blocks
+    from . import _plain
 
-    return map(_blocks, _partition_blocks(n))
+    return map(_blocks, _plain._partition_blocks(n))
 
 
 def _bsp_objs(n: int) -> Iterator[dict]:
-    from .paren import SpacedParen, enumerate_bsps
+    from . import _plain
 
-    return map(SpacedParen.to_json_obj, enumerate_bsps(n))
+    return (_plain._paren_obj(n, F, L) for F, L in _plain._bsps(n))
 
 
 def _gbsp_objs(n: int) -> Iterator[dict]:
     """The JSON objects of enumerate_gbsps(n), written from the plain fillings."""
-    from .paren import _g_pairs, _gbsp_obj, _plain_gbsps
+    from . import _plain
 
-    for sp, g in _plain_gbsps(n):
-        yield _gbsp_obj(n, sp.F, sp.L, _g_pairs(sp.F, g))
+    return (_plain._gbsp_obj(n, F, L, _plain._g_pairs(F, g)) for F, L, g in _plain._gbsps(n))
 
 
 # each enumerate kind lists the JSON objects of its family at n, one line each
 _FAMILIES = {
-    "lehmer": _lehmer_objs,
+    "lehmer": lambda n: map(list, _staircase(n)),
     "outcomes": lambda n: ({"outcome": list(w)} for w in sorted(iter_outcome_words(n))),
     "partitions": _partition_objs,
     "bsp": _bsp_objs,

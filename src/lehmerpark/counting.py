@@ -34,6 +34,8 @@ from collections.abc import Iterator
 
 def _staircase(n: int) -> Iterator[tuple[int, ...]]:
     # the staircase tuples as plain tuples, in lexicographic order
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return itertools.product(*(range(1, n - i + 2) for i in range(1, n + 1)))
 
 

@@ -10,12 +10,18 @@ reports counterexamples verbatim.
 
 The checks that walk the n!-, Bell- and Catalan-sized families run on the
 plain values their generators yield (staircase tuples, outcome words, blocks,
-(F, L, g)) through the plain sweeps, and build no checked object per element.
-What a constructor used to enforce becomes an explicit test: an outcome is a
-permutation (`_check_word`) that avoids the arm-leg pattern (`_certify`), and
-blocks partition [n] (`_check_blocks`).  An object that fails one is a
-discrepancy, so `verify` reports it with the rest (exit 2 on the CLI) instead
-of stopping with an error.
+(F, L), (F, L, g)) through the plain sweeps of `_plain`, and build no checked
+object per element.  What a constructor would enforce is an explicit test: an
+outcome is a permutation (`_check_word`) that avoids the arm-leg pattern
+(`_certify`), and blocks partition [n] (`_check_blocks`).  An object that fails
+one is a discrepancy, so `verify` reports it with the rest (exit 2 on the CLI)
+instead of stopping with an error.
+
+This module imports only `_plain` and `counting` at the top, so 14 of the 17
+checks load no object module.  The diagram checks (`lemma3.4`, `lemma3.5`,
+`lemma3.7`), `all_lehmer`, `outcome_set`, `enumerate_partitions` and the
+discrepancy messages that print a `SpacedParen` or `GBsp` import theirs when
+they run.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .armleg import PartialArmLegDiagram, GridPoint, arms_legs, depth_at, is_intersecting, peaks, peaks_from_pairs
-from .bijection import OutcomePermutation, _certify, _phi_prime, _phi_prime_inv, fiber_size
+from . import _plain
 from .counting import (
     _DP_MAX_N,
     _staircase,
@@ -38,27 +43,12 @@ from .counting import (
     outcome_peak_counts,
     outcome_words,
 )
-from .paren import (
-    SpacedParen,
-    _gbsp,
-    _is_balanced,
-    _plain_gbsps,
-    depths,
-    enumerate_bsps,
-    is_balanced,
-    matching_pairs,
-)
-from .parking import PrefTuple, _is_parking_function, _park
-from .permutation import Permutation, _check_word, _contains_132, _contains_armleg
-from .setpartition import (
-    _blocks_text,
-    _check_blocks,
-    _from_gbsp,
-    _min_max,
-    _partition_blocks,
-    _to_gbsp,
-    enumerate_partitions,
-)
+
+if TYPE_CHECKING:
+    from .armleg import PartialArmLegDiagram
+    from .bijection import OutcomePermutation
+    from .paren import SpacedParen
+    from .parking import PrefTuple
 
 __all__ = [
     "all_lehmer",
@@ -78,14 +68,26 @@ __all__ = [
 
 def all_lehmer(n: int) -> Iterator[PrefTuple]:
     """Every staircase tuple (a_i <= n - i + 1), in lexicographic order; n! of them."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    from .parking import PrefTuple
+
     yield from map(PrefTuple, _staircase(n))
 
 
 def outcome_set(n: int) -> set[OutcomePermutation]:
     """Distinct outcomes of all n! staircase tuples, certified at construction."""
+    from .bijection import OutcomePermutation
+    from .permutation import Permutation
+
     return {OutcomePermutation(Permutation(w)) for w in iter_outcome_words(n)}
+
+
+def __getattr__(name: str):
+    # `enumerate_partitions`, exported here, loads `setpartition` on first use (PEP 562)
+    if name == "enumerate_partitions":
+        from .setpartition import enumerate_partitions
+
+        return enumerate_partitions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,18 @@ def _refusal(check, *args) -> str:
     return ""
 
 
-def _as_outcome(word: tuple[int, ...]) -> tuple[int, ...]:
-    # the checks of Permutation and OutcomePermutation, on a plain word
-    return _certify(_check_word(word))
+def _repr(n: int, F, L, g=None) -> str:
+    # the repr of the checked SpacedParen, or of the GBsp with g aligned to spaces,
+    # built for a discrepancy message only
+    from .paren import SpacedParen, _gbsp
+
+    sp = SpacedParen(n, F, L)
+    return repr(sp if g is None else _gbsp(sp, g))
 
 
 def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # the check of SetPartition, on plain blocks that must already be in its sorted form
-    if _check_blocks(n, blocks) != blocks:
+    if _plain._check_blocks(n, blocks) != blocks:
         raise ValueError("blocks are not in sorted form")
     return blocks
 
@@ -182,13 +188,13 @@ def _check_lemma1_2(n: int):
     park to a permutation (`_check_word`, the check of `park`'s outcome)."""
 
     def problems(prefs):
-        if not _is_parking_function(prefs):
+        if not _plain._is_parking_function(prefs):
             yield f"n={n}: staircase tuple {prefs} fails the sorted-prefix test"
             return
-        word = _park(prefs)
+        word = _plain._park(prefs)
         if isinstance(word, int):
             yield f"n={n}: parking failed for staircase tuple {prefs}"
-        elif refusal := _refusal(_check_word, word):
+        elif refusal := _refusal(_plain._check_word, word):
             yield f"n={n}: staircase tuple {prefs} parks to {word}: {refusal}"
 
     return _each(_staircase(n), problems)
@@ -196,7 +202,7 @@ def _check_lemma1_2(n: int):
 
 def _check_thm2_4(n: int):
     parked = outcome_words(n)
-    avoiders = _avoiders(n, _contains_armleg)
+    avoiders = _avoiders(n, _plain._contains_armleg)
     bad = [
         f"n={n}: {w} parked but contains the arm-leg pattern" for w in sorted(parked - avoiders)
     ] + [
@@ -206,6 +212,10 @@ def _check_thm2_4(n: int):
 
 
 def _check_lemma3_4(n: int):
+    from .armleg import arms_legs, depth_at, peaks
+    from .paren import depths
+    from .permutation import Permutation
+
     def problems(w):
         diagram = peaks(Permutation(w))
         for i, d in enumerate(depths(arms_legs(diagram)), start=1):
@@ -219,6 +229,10 @@ def _check_lemma3_4(n: int):
 
 
 def _check_lemma3_5(n: int):
+    from .armleg import arms_legs, peaks
+    from .paren import is_balanced
+    from .permutation import Permutation
+
     def problems(w):
         if not is_balanced(arms_legs(peaks(Permutation(w)))):
             yield f"n={n}: arms/legs of outcome {w} are not balanced"
@@ -229,6 +243,8 @@ def _check_lemma3_5(n: int):
 def _all_partial_diagrams(n: int) -> Iterator[PartialArmLegDiagram]:
     # one layer per column: every choice of rows for columns 1..c, 0 for no point;
     # column c holds no point or one in an unused row at or above the antidiagonal
+    from .armleg import GridPoint, PartialArmLegDiagram
+
     layer: list[tuple[int, ...]] = [()]
     for c in range(1, n + 1):
         choices = (0, *range(n - c + 1, n + 1))
@@ -239,6 +255,9 @@ def _all_partial_diagrams(n: int) -> Iterator[PartialArmLegDiagram]:
 
 
 def _check_lemma3_7(n: int):
+    from .armleg import arms_legs, is_intersecting, peaks_from_pairs
+    from .paren import enumerate_bsps, matching_pairs
+
     groups: dict[SpacedParen, list[PartialArmLegDiagram]] = {}
     count = 0
     for t in _all_partial_diagrams(n):
@@ -264,15 +283,14 @@ def _check_lemma3_9(n: int):
     """Each filling's word must pass `_as_outcome`; its arms and legs are the F
     and L of `_phi_prime`, which reads the peaks as `phi` does."""
 
-    def problems(sp_g):
-        sp, g = sp_g
-        word = _phi_prime_inv(n, sp.F, sp.L, g)
-        if refusal := _refusal(_as_outcome, word):
-            yield f"n={n}: filling of {_gbsp(sp, g)!r} maps to outcome {word}: {refusal}"
-        elif _phi_prime(word)[:2] != (sp.F, sp.L):
-            yield f"n={n}: filling of {_gbsp(sp, g)!r} has wrong arms/legs"
+    def problems(F_L_g):
+        word = _plain._phi_prime_inv(n, *F_L_g)
+        if refusal := _refusal(_plain._as_outcome, word):
+            yield f"n={n}: filling of {_repr(n, *F_L_g)} maps to outcome {word}: {refusal}"
+        elif _plain._phi_prime(word)[:2] != F_L_g[:2]:
+            yield f"n={n}: filling of {_repr(n, *F_L_g)} has wrong arms/legs"
 
-    return _each(_plain_gbsps(n), problems)
+    return _each(_plain._gbsps(n), problems)
 
 
 def _fiber_census(n: int, objects, check, image, label, noun: str, fiber_of: str = ""):
@@ -287,24 +305,24 @@ def _fiber_census(n: int, objects, check, image, label, noun: str, fiber_of: str
             bad.append(f"n={n}: {label(x)}: {refusal}")
         else:
             counts[image(x)] += 1
-    for sp in enumerate_bsps(n):
+    for F, L in _plain._bsps(n):
         examined += 1
-        got = counts.pop((sp.F, sp.L), 0)
-        expected = fiber_size(sp)
+        got = counts.pop((F, L), 0)
+        expected = _plain._fiber_size(n, F, L)
         if got != expected:
             bad.append(
-                f"n={n}: {fiber_of}F={sorted(sp.F)}, L={sorted(sp.L)} has "
+                f"n={n}: {fiber_of}F={sorted(F)}, L={sorted(L)} has "
                 f"{got} {noun}, product of depths gives {expected}"
             )
     for F, L in counts:
-        bad.append(f"n={n}: {noun} map to unlisted parenthesization {SpacedParen(n, F, L)!r}")
+        bad.append(f"n={n}: {noun} map to unlisted parenthesization {_repr(n, F, L)}")
     return examined, bad
 
 
 def _check_cor3_10(n: int):
     """The walked words pass `_as_outcome`; `_phi_prime`'s F and L are their arms and legs."""
     return _fiber_census(
-        n, iter_outcome_words(n), _as_outcome, lambda w: _phi_prime(w)[:2],
+        n, iter_outcome_words(n), _plain._as_outcome, lambda w: _plain._phi_prime(w)[:2],
         lambda w: f"outcome {w}", "outcomes", fiber_of="fiber of ",
     )
 
@@ -330,13 +348,13 @@ def _round_trips(n: int, objects, check, there, back, label):
             survives = False
         if not survives:
             bad.append(f"n={n}: {label(x)} does not survive the round trip")
-    for sp, g in _plain_gbsps(n):
+    for F, L, g in _plain._gbsps(n):
         count += 1
-        y = back(sp.F, sp.L, g)
+        y = back(F, L, g)
         if refusal := _refusal(check, y):
-            bad.append(f"n={n}: {_gbsp(sp, g)!r} maps to {label(y)}: {refusal}")
-        elif there(y) != (sp.F, sp.L, g):
-            bad.append(f"n={n}: {_gbsp(sp, g)!r} does not survive the reverse round trip")
+            bad.append(f"n={n}: {_repr(n, F, L, g)} maps to {label(y)}: {refusal}")
+        elif there(y) != (F, L, g):
+            bad.append(f"n={n}: {_repr(n, F, L, g)} does not survive the reverse round trip")
     return count, bad
 
 
@@ -345,8 +363,8 @@ def _check_lemma3_12(n: int):
     `_phi_prime_inv` rebuilds in the reverse trip; in the forward trip, the
     rebuilt word's equality with the walked word stands in for that check."""
     return _round_trips(
-        n, sorted(iter_outcome_words(n)), _as_outcome, _phi_prime,
-        lambda F, L, g: _phi_prime_inv(n, F, L, g), lambda w: f"outcome {w}",
+        n, sorted(iter_outcome_words(n)), _plain._as_outcome, _plain._phi_prime,
+        lambda F, L, g: _plain._phi_prime_inv(n, F, L, g), lambda w: f"outcome {w}",
     )
 
 
@@ -355,32 +373,34 @@ def _check_lemma3_13(n: int):
 
     def problems(blocks):
         if refusal := _refusal(_as_partition, n, blocks):
-            yield f"n={n}: partition {_blocks_text(blocks)}: {refusal}"
-        elif not _is_balanced(n, *_min_max(blocks)):
-            yield f"n={n}: minima/maxima of {_blocks_text(blocks)} are not balanced"
+            yield f"n={n}: partition {_plain._blocks_text(blocks)}: {refusal}"
+        elif not _plain._is_balanced(n, *_plain._min_max(blocks)):
+            yield f"n={n}: minima/maxima of {_plain._blocks_text(blocks)} are not balanced"
 
-    return _each(_partition_blocks(n), problems)
+    return _each(_plain._partition_blocks(n), problems)
 
 
 def _check_lemma3_14(n: int):
     """The partition that g = 1 gives must pass `_as_partition` once sorted."""
 
-    def problems(sp):
-        g = [0 if i in sp.F else 1 for i in range(1, n + 1)]
-        blocks = tuple(sorted(_from_gbsp(n, sp.F, sp.L, g)))
+    def problems(F_L):
+        F, L = F_L
+        g = [0 if i in F else 1 for i in range(1, n + 1)]
+        blocks = tuple(sorted(_plain._from_gbsp(n, F, L, g)))
         if refusal := _refusal(_as_partition, n, blocks):
-            yield f"n={n}: {sp!r} maps to partition {_blocks_text(blocks)}: {refusal}"
-        elif _min_max(blocks) != (sp.F, sp.L):
-            yield f"n={n}: no partition found with minima/maxima {sp!r}"
+            sp = _repr(n, F, L)
+            yield f"n={n}: {sp} maps to partition {_plain._blocks_text(blocks)}: {refusal}"
+        elif _plain._min_max(blocks) != F_L:
+            yield f"n={n}: no partition found with minima/maxima {_repr(n, F, L)}"
 
-    return _each(enumerate_bsps(n), problems)
+    return _each(_plain._bsps(n), problems)
 
 
 def _check_cor3_15(n: int):
     """The generated partitions pass `_as_partition`."""
     return _fiber_census(
-        n, _partition_blocks(n), lambda b: _as_partition(n, b), _min_max,
-        lambda b: f"partition {_blocks_text(b)}", "partitions",
+        n, _plain._partition_blocks(n), lambda b: _as_partition(n, b), _plain._min_max,
+        lambda b: f"partition {_plain._blocks_text(b)}", "partitions",
     )
 
 
@@ -389,9 +409,10 @@ def _check_lemma3_16(n: int):
     that `_from_gbsp` rebuilds in the reverse trip, once sorted; in the forward
     trip, the rebuilt partition's equality with the generated one stands in for it."""
     return _round_trips(
-        n, _partition_blocks(n), lambda b: _as_partition(n, b), lambda b: _to_gbsp(n, b),
-        lambda F, L, g: tuple(sorted(_from_gbsp(n, F, L, g))),
-        lambda b: f"partition {_blocks_text(b)}",
+        n, _plain._partition_blocks(n), lambda b: _as_partition(n, b),
+        lambda b: _plain._to_gbsp(n, b),
+        lambda F, L, g: tuple(sorted(_plain._from_gbsp(n, F, L, g))),
+        lambda b: f"partition {_plain._blocks_text(b)}",
     )
 
 
@@ -401,7 +422,7 @@ def _check_thm3_1(n: int):
     checks of the outcome it rebuilds, and the image's equality with the
     generated partitions for theirs."""
     outcomes = sorted(iter_outcome_words(n))
-    partitions = list(_partition_blocks(n))
+    partitions = list(_plain._partition_blocks(n))
     expected = bell(n)
     bad = []
     if len(outcomes) != expected:
@@ -410,15 +431,15 @@ def _check_thm3_1(n: int):
         bad.append(f"n={n}: {len(partitions)} partitions, Bell number is {expected}")
     image = set()
     for w in outcomes:
-        if refusal := _refusal(_as_outcome, w):
+        if refusal := _refusal(_plain._as_outcome, w):
             bad.append(f"n={n}: outcome {w}: {refusal}")
             continue
-        b = tuple(sorted(_from_gbsp(n, *_phi_prime(w))))
+        b = tuple(sorted(_plain._from_gbsp(n, *_plain._phi_prime(w))))
         if refusal := _refusal(_as_partition, n, b):
-            bad.append(f"n={n}: outcome {w} maps to partition {_blocks_text(b)}: {refusal}")
+            bad.append(f"n={n}: outcome {w} maps to partition {_plain._blocks_text(b)}: {refusal}")
             continue
         image.add(b)
-        if _phi_prime_inv(n, *_to_gbsp(n, b)) != w:
+        if _plain._phi_prime_inv(n, *_plain._to_gbsp(n, b)) != w:
             bad.append(f"n={n}: outcome {w} does not survive the composed round trip")
     if image != set(partitions):
         bad.append(f"n={n}: outcome-to-partition image misses some partitions")
@@ -431,17 +452,17 @@ def _park_problem(n: int, prefs: tuple[int, ...], word) -> str:
     (`_check_word`, the check of `park`'s outcome)."""
     if isinstance(word, int):
         return f"n={n}: weakly decreasing staircase tuple {prefs} failed to park"
-    if refusal := _refusal(_check_word, word):
+    if refusal := _refusal(_plain._check_word, word):
         return f"n={n}: weakly decreasing staircase tuple {prefs} parks to {word}: {refusal}"
     return ""
 
 
 def _check_prop4_1(n: int):
     def problems(prefs):
-        word = _park(prefs)
+        word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
             yield problem
-        elif _contains_132(word):
+        elif _plain._contains_132(word):
             yield f"n={n}: outcome of {prefs} contains the pattern 132"
 
     return _each(_weakly_decreasing_staircase(n), problems)
@@ -451,7 +472,7 @@ def _check_lemma4_2(n: int):
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def problems(prefs):
-        word = _park(prefs)
+        word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
             yield problem
         elif word in outcomes:
@@ -470,7 +491,7 @@ def _check_thm4_3(n: int):
     expected = catalan(n)
     if len(wd) != expected:
         bad.append(f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}")
-    wd_parking = {prefs for prefs in _weakly_decreasing(n) if _is_parking_function(prefs)}
+    wd_parking = {prefs for prefs in _weakly_decreasing(n) if _plain._is_parking_function(prefs)}
     if set(wd) != wd_parking:
         bad.append(
             f"n={n}: weakly decreasing staircase tuples differ from weakly "
@@ -478,7 +499,7 @@ def _check_thm4_3(n: int):
         )
     words = []
     for prefs in wd:
-        word = _park(prefs)
+        word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
             bad.append(problem)
         else:
@@ -486,7 +507,7 @@ def _check_thm4_3(n: int):
     image = set(words)
     if len(image) != len(words):
         bad.append(f"n={n}: parking is not injective on weakly decreasing tuples")
-    avoiders = _avoiders(n, _contains_132)
+    avoiders = _avoiders(n, _plain._contains_132)
     for w in sorted(image - avoiders):
         bad.append(f"n={n}: weakly decreasing outcome {w} contains 132")
     for w in sorted(avoiders - image):

@@ -10,17 +10,20 @@ A balanced pair can be augmented with a choice function g assigning to each
 space i outside F a value in [1, depth(i)].  The string form writes one token
 per space: `_` for spaces in F, the g value otherwise, with `(` and `)` glued
 on, e.g. ``(_ (_ 2 1) (_) 1)``.
+
+The checks, the depth sweep, the string grammar and the generators run on
+plain (n, F, L) and g in `_plain`; this module wraps them in the checked
+`SpacedParen` and `GBsp`.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array
-from .permutation import _armleg_crossing
+from . import _plain
+from .errors import _int_pairs
 
 __all__ = [
     "SpacedParen",
@@ -46,44 +49,19 @@ class SpacedParen:
     L: frozenset[int]
 
     def __post_init__(self) -> None:
-        _, F, L = _check_paren(self.n, self.F, self.L)
+        _, F, L = _plain._check_paren(self.n, self.F, self.L)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "L", L)
 
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "F": sorted(self.F), "L": sorted(self.L)}
+        return _plain._paren_obj(self.n, self.F, self.L)
 
     @classmethod
     def from_json_obj(cls, obj) -> "SpacedParen":
-        return cls(*_paren_json(obj))
+        return cls(*_plain._paren_json(obj))
 
     def __str__(self) -> str:
         return render(self)
-
-
-def _check_paren(n, F, L) -> tuple[int, frozenset[int], frozenset[int]]:
-    """The check of `SpacedParen`: (n, F, L), F and L as sets, or the first
-    error found.  The constructor and the CLI both read through it."""
-    F = _distinct(_ints(F, "F"), "F")
-    L = _distinct(_ints(L, "L"), "L")
-    if _int(n, "n") < 0:
-        raise ValueError("n must be nonnegative")
-    for name, members in (("F", F), ("L", L)):
-        if members and (min(members) < 1 or max(members) > n):
-            bad = sorted(i for i in members if not 1 <= i <= n)
-            raise ValueError(f"{name} contains spaces outside [1, {n}]: {bad}")
-    if len(F) != len(L):
-        raise ValueError(f"|F| = {len(F)} differs from |L| = {len(L)}")
-    return n, F, L
-
-
-def _paren_json(obj) -> tuple:
-    """n, F and L of a parenthesization's JSON object, checked only for shape."""
-    try:
-        n, F, L = obj["n"], obj["F"], obj["L"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"expected keys n, F, L in {obj!r}") from exc
-    return n, _json_array(F, "F"), _json_array(L, "L")
 
 
 def depth(sp: SpacedParen, i: int) -> int:
@@ -93,7 +71,8 @@ def depth(sp: SpacedParen, i: int) -> int:
     """
     if not 1 <= i <= sp.n:
         raise ValueError(f"space {i} out of range [1, {sp.n}]")
-    return next(itertools.islice(_iter_depths(sp.n, sp.F, sp.L), i - 1, None))  # stops at space i
+    sweep = _plain._iter_depths(sp.n, sp.F, sp.L)
+    return next(itertools.islice(sweep, i - 1, None))  # stops at space i
 
 
 def depths(sp: SpacedParen) -> tuple[int, ...]:
@@ -102,17 +81,7 @@ def depths(sp: SpacedParen) -> tuple[int, ...]:
     >>> depths(SpacedParen(7, frozenset({1, 3, 5}), frozenset({5, 6, 7})))
     (1, 1, 2, 2, 3, 2, 1)
     """
-    return tuple(_iter_depths(sp.n, sp.F, sp.L))
-
-
-def _iter_depths(n: int, F, L) -> Iterator[int]:
-    d = 0
-    for i in range(1, n + 1):
-        if i in F:
-            d += 1
-        yield d
-        if i in L:
-            d -= 1
+    return tuple(_plain._iter_depths(sp.n, sp.F, sp.L))
 
 
 def is_balanced(sp: SpacedParen) -> bool:
@@ -120,21 +89,7 @@ def is_balanced(sp: SpacedParen) -> bool:
 
     Stops at the first nonpositive depth, so an unbalanced huge n costs nothing.
     """
-    return _is_balanced(sp.n, sp.F, sp.L)
-
-
-def _is_balanced(n: int, F, L) -> bool:
-    """`is_balanced` on plain (n, F, L), F and L as sets: the `_iter_depths`
-    sweep as a loop, which `verify` runs once per partition."""
-    d = 0
-    for i in range(1, n + 1):
-        if i in F:
-            d += 1
-        if d < 1:
-            return False
-        if i in L:
-            d -= 1
-    return True
+    return _plain._is_balanced(sp.n, sp.F, sp.L)
 
 
 @dataclass(frozen=True)
@@ -160,7 +115,7 @@ class MatchedPairs:
         word = [0] * n  # pair (f, l) is the point in column l, row n - f + 1
         for f, l in pairs:
             word[l - 1] = n - f + 1
-        crossing = _armleg_crossing(word)
+        crossing = _plain._armleg_crossing(word)
         if crossing:
             (fa, la), (fb, lb) = ((n - word[c - 1] + 1, c) for c in crossing)
             raise ValueError(f"pairs ({fa},{la}) and ({fb},{lb}) cross")
@@ -203,8 +158,8 @@ class GBsp:
 
     def __post_init__(self) -> None:
         base = self.base
-        g = _check_g(base.n, base.F, base.L, self.g)
-        object.__setattr__(self, "g", tuple(_g_pairs(base.F, g)))
+        g = _plain._check_g(base.n, base.F, base.L, self.g)
+        object.__setattr__(self, "g", tuple(_plain._g_pairs(base.F, g)))
 
     @property
     def n(self) -> int:
@@ -215,97 +170,27 @@ class GBsp:
         return dict(self.g)
 
     def to_json_obj(self) -> dict:
-        return _gbsp_obj(self.n, self.base.F, self.base.L, self.g)
+        return _plain._gbsp_obj(self.n, self.base.F, self.base.L, self.g)
 
     @classmethod
     def from_json_obj(cls, obj) -> "GBsp":
-        return cls(SpacedParen.from_json_obj(obj), _g_json(obj))
+        return cls(SpacedParen.from_json_obj(obj), _plain._g_json(obj))
 
     def __str__(self) -> str:
         return render(self)
 
 
-def _check_g(n: int, F, L, g) -> list[int]:
-    """The check of `GBsp`: g, a mapping or (space, value) pairs, on the checked
-    base (n, F, L), as a list aligned to spaces and 0 on F, or the first error
-    found.  The constructor and the CLI both read through it."""
-    pairs = _int_pairs(g.items() if isinstance(g, Mapping) else g, "g")
-    g = dict(pairs)
-    if len(g) < len(pairs):
-        spaces = sorted(i for i, _ in pairs)
-        dup = next(i for i, j in zip(spaces, spaces[1:]) if i == j)
-        raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
-    # g is matched with F before the depth sweep, so a huge claimed n fails
-    # fast: the scan for a missing space stops within |F| + |g| + 1 spaces
-    extra = [i for i in g if not 1 <= i <= n or i in F]
-    if extra or len(g) != n - len(F):
-        missing = next((i for i in range(1, n + 1) if i not in F and i not in g), None)
-        if missing is not None:
-            raise GbspError(f"missing g entry for space {missing}", code="g-missing", space=missing)
-        extra = min(extra)
-        raise GbspError(f"unexpected g entry for space {extra}", code="g-extra", space=extra)
-    # one depth sweep: balance fails at once, while the first g out of range
-    # is kept and reported only once the whole base is known to be balanced.
-    # The depth is at least 1 on F and drops by at most 1 per space, so it can
-    # reach 0 only outside F, where no g value fits in [1, 0].
-    values = [0] * n
-    out_of_range = None
-    d = 0
-    for i in range(1, n + 1):
-        if i in F:
-            d += 1
-        else:
-            v = values[i - 1] = g[i]
-            if not 1 <= v <= d:
-                if d < 1:
-                    raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
-                if out_of_range is None:
-                    out_of_range = i, d
-        if i in L:
-            d -= 1
-    if out_of_range is not None:
-        i, d = out_of_range
-        raise GbspError(f"g({i}) = {g[i]} outside [1, {d}]", code="g-out-of-range", space=i)
-    return values
-
-
-def _g_json(obj) -> dict:
-    """g of a g-parenthesization's JSON object, keyed by space; {} when absent.
-    Its values are left to `_check_g`."""
-    g = obj.get("g", {})
-    keys = list(map(str, g)) if isinstance(g, dict) else None
-    if keys is None or not (all(map(str.isdigit, keys)) and "".join(keys).isascii()):
-        raise ParseError(f"expected g as a JSON object keyed by space, got {g!r}")
-    spaces = list(map(int, keys))
-    _distinct(spaces, "the keys of g")  # "3" and "03" name one space
-    return dict(zip(spaces, g.values()))
-
-
 def _gbsp(base: SpacedParen, g) -> GBsp:
     """The checked GBsp of `base` and g, g aligned to spaces and 0 on F."""
-    return GBsp(base, _g_pairs(base.F, g))
+    return GBsp(base, _plain._g_pairs(base.F, g))
 
 
-def _g_pairs(F, g) -> list[tuple[int, int]]:
-    """The (space, value) pairs of g aligned to spaces, in space order, F left out."""
-    return [(i, v) for i, v in enumerate(g, start=1) if i not in F]
-
-
-def _gbsp_obj(n: int, F, L, g_pairs) -> dict:
-    """The JSON object of the g-parenthesization (n, F, L, g), g as (space, value)
-    pairs in space order; unchecked, so the CLI can write a plain sweep's output."""
-    return {"n": n, "F": sorted(F), "L": sorted(L), "g": {str(i): v for i, v in g_pairs}}
-
-
-def _plain(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
+def _gbsp_values(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
     """(n, F, L, g) of `gb`, g aligned to spaces and 0 on F."""
     g = [0] * gb.n
     for i, v in gb.g:
         g[i - 1] = v
     return gb.n, gb.base.F, gb.base.L, g
-
-
-_TOKEN_RE = re.compile(r"^(\()?(_|\d+)(\))?$")
 
 
 def render(x: SpacedParen | GBsp) -> str:
@@ -332,95 +217,18 @@ def parse(s: str) -> SpacedParen | GBsp:
     A fully parenthesized GBsp (F = [n]) has no digit slots, so its rendering
     parses back to the bare SpacedParen.
     """
-    n, F, L, g = _parse(s)
+    n, F, L, g = _plain._parse(s)
     base = SpacedParen(n, F, L)
     return GBsp(base, g) if g else base
 
 
-def _parse(s: str) -> tuple[int, set[int], set[int], dict[int, int]]:
-    """(n, F, L, g) of the string grammar, g keyed by space; the tokens are
-    checked here, the values by `_check_paren` and `_check_g`."""
-    s = s.strip()
-    if not s:
-        return 0, set(), set(), {}
-    tokens = s.split(" ")
-    F: set[int] = set()
-    L: set[int] = set()
-    g: dict[int, int] = {}
-    for pos, token in enumerate(tokens, start=1):
-        m = _TOKEN_RE.match(token)
-        if not m:
-            raise ParseError(f"bad token {token!r} at space {pos}", position=pos)
-        opened, slot, closed = m.groups()
-        if opened:
-            F.add(pos)
-        if closed:
-            L.add(pos)
-        if slot != "_":
-            if opened:
-                raise ParseError(
-                    f"space {pos} opens a paren and cannot carry a g value", position=pos
-                )
-            g[pos] = int(slot)
-    return len(tokens), F, L, g
-
-
 def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
     """Every balanced spaced parenthesization on n spaces, exactly once."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    # an explicit stack: choice[i] = 2 * opens + closes at space i, tried from
-    # 0 to 3, and before[i] = parens still open before space i
-    choice = [-1] * (n + 2)
-    before = [0] * (n + 2)
-    F: list[int] = []
-    L: list[int] = []
-    i = 1
-    while i:
-        if i > n:  # the bound below leaves no paren open after space n
-            yield SpacedParen(n, frozenset(F), frozenset(L))
-            i -= 1
-            continue
-        if F and F[-1] == i:  # undo the previous choice at space i
-            F.pop()
-        if L and L[-1] == i:
-            L.pop()
-        choice[i] += 1
-        if choice[i] == 4:
-            choice[i] = -1
-            i -= 1
-            continue
-        opens, closes = divmod(choice[i], 2)
-        d = before[i] + opens
-        if d < 1 or d - closes > n - i:  # depth must be positive; the rest must close in time
-            continue
-        if opens:
-            F.append(i)
-        if closes:
-            L.append(i)
-        before[i + 1] = d - closes
-        i += 1
-
-
-def _g_fillings(sp: SpacedParen) -> Iterator[list[int]]:
-    """Every g on the balanced `sp`, g(i) in [1, depth(i)] for each space i
-    outside F, as a list aligned to spaces and 0 on F, in lexicographic order of g."""
-    free = [i for i in range(sp.n) if i + 1 not in sp.F]  # 0-based indices of spaces outside F
-    ds = depths(sp)
-    for combo in itertools.product(*(range(1, ds[i] + 1) for i in free)):
-        g = [0] * sp.n
-        for i, v in zip(free, combo):
-            g[i] = v
-        yield g
+    return (SpacedParen(n, F, L) for F, L in _plain._bsps(n))
 
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
-    for sp, g in _plain_gbsps(n):
-        yield _gbsp(sp, g)
-
-
-def _plain_gbsps(n: int) -> Iterator[tuple[SpacedParen, list[int]]]:
-    """The base and g of every g-parenthesization on n spaces, in the order of
-    `enumerate_gbsps`, g aligned to spaces and 0 on F; unchecked."""
-    return ((sp, g) for sp in enumerate_bsps(n) for g in _g_fillings(sp))
+    for sp in enumerate_bsps(n):
+        for g in _plain._g_fillings(n, sp.F, sp.L):
+            yield _gbsp(sp, g)

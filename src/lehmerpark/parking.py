@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import _ints
-from .permutation import (
-    InversionTable,
-    Permutation,
-    _parse_int_word,
-    contains_armleg_pattern,
-    inverse,
-)
+from . import _plain
+from .permutation import InversionTable, Permutation, contains_armleg_pattern, inverse
 
 __all__ = [
     "PrefTuple",
@@ -38,12 +32,7 @@ class PrefTuple:
     prefs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prefs = _ints(self.prefs, "a preference tuple")
-        object.__setattr__(self, "prefs", prefs)
-        n = len(prefs)
-        for i, a in enumerate(prefs, start=1):
-            if not 1 <= a <= n:
-                raise ValueError(f"preference {i} is {a}, outside [1, {n}]")
+        object.__setattr__(self, "prefs", _plain._check_prefs(self.prefs))
 
     @property
     def n(self) -> int:
@@ -54,7 +43,7 @@ class PrefTuple:
 
     @classmethod
     def from_text(cls, text: str) -> "PrefTuple":
-        return cls(_parse_int_word(text))
+        return cls(_plain._parse_int_word(text))
 
     def to_json_obj(self) -> list[int]:
         return list(self.prefs)
@@ -77,56 +66,31 @@ class ParkOutcome:
 
 
 def park(a: PrefTuple) -> ParkOutcome:
-    """Run the parking procedure on `a`; see `_park`.
+    """Run the parking procedure on `a`; see `_plain._park`.
 
     >>> park(PrefTuple((2, 2, 1))).outcome.word
     (3, 1, 2)
     >>> park(PrefTuple((2, 2, 3))).failed_car
     3
     """
-    result = _park(a.prefs)
+    result = _plain._park(a.prefs)
     if isinstance(result, int):
         return ParkOutcome(failed_car=result)
     return ParkOutcome(outcome=Permutation(result))
 
 
-def _park(prefs: tuple[int, ...]) -> tuple[int, ...] | int:
-    """The outcome word of the preferences `prefs`, each in [1, n], or the first
-    car that drives past spot n.  A next-free pointer with path halving finds
-    each car's spot (Knuth, TAOCP Vol. 3 §6.4; Tarjan 1975): a car crosses a run
-    of taken spots without visiting each one, so a pass costs O(n log n) at worst."""
-    n = len(prefs)
-    spots = [0] * (n + 1)  # 1-based; spots[s] = car number or 0
-    nxt = list(range(n + 2))  # nxt[s] == s iff spot s is free; n + 1 is past the street
-    for car, pref in enumerate(prefs, start=1):
-        s = pref
-        while nxt[s] != s:
-            nxt[s] = s = nxt[nxt[s]]  # path halving: point s at its grandparent, step there
-        if s > n:
-            return car
-        spots[s] = car
-        nxt[s] = s + 1
-    return tuple(spots[1:])
-
-
 def is_parking_function(a: PrefTuple) -> bool:
     """Sorted-prefix test: the weakly increasing rearrangement satisfies a'_i <= i."""
-    return _is_parking_function(a.prefs)
-
-
-def _is_parking_function(prefs: tuple[int, ...]) -> bool:
-    """`is_parking_function` on plain preferences."""
-    return all(v <= i for i, v in enumerate(sorted(prefs), start=1))
+    return _plain._is_parking_function(a.prefs)
 
 
 def is_lehmer(a: PrefTuple) -> bool:
     """Staircase bound: a_i <= n - i + 1 at every position."""
-    n = a.n
-    return all(v <= n - i + 1 for i, v in enumerate(a.prefs, start=1))
+    return _plain._is_lehmer(a.prefs)
 
 
 def is_weakly_decreasing(a: PrefTuple) -> bool:
-    return all(x >= y for x, y in zip(a.prefs, a.prefs[1:]))
+    return _plain._is_weakly_decreasing(a.prefs)
 
 
 def lehmer_from_inversion_table(t: InversionTable) -> PrefTuple:

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import lehmerpark
+import lehmerpark._plain as _plain
 import lehmerpark.cli as cli
 import lehmerpark.enumeration as enumeration
 from lehmerpark.bijection import (
@@ -283,13 +284,13 @@ def test_verify_discrepancy_exits_2(capsys, monkeypatch):
 
 def test_verify_reports_a_leg_output_that_is_no_outcome(capsys, monkeypatch):
     # a counterexample found inside a check is a discrepancy (exit 2), not an error
-    real = enumeration._phi_prime_inv
+    real = _plain._phi_prime_inv
     planted = (3, 4, 1, 6, 2, 5)  # a permutation that contains the arm-leg pattern
 
     def leg(n, F, L, g):
         return planted if n == 6 else real(n, F, L, g)
 
-    monkeypatch.setattr(enumeration, "_phi_prime_inv", leg)
+    monkeypatch.setattr(_plain, "_phi_prime_inv", leg)
     captured = run_cli(capsys, "verify", "lemma3.9", "--n-max", "6", expect=2)
     report = json.loads(captured.out)
     line = (
@@ -304,13 +305,13 @@ def test_verify_reports_a_leg_output_that_is_no_outcome(capsys, monkeypatch):
 
 
 def test_verify_reports_a_leg_whose_blocks_miss_an_element(capsys, monkeypatch):
-    real = enumeration._from_gbsp
+    real = _plain._from_gbsp
 
     def leg(n, F, L, g):
         blocks = real(n, F, L, g)
         return blocks[1:] if n == 3 else blocks  # drops the block that closes first
 
-    monkeypatch.setattr(enumeration, "_from_gbsp", leg)
+    monkeypatch.setattr(_plain, "_from_gbsp", leg)
     captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "3", expect=2)
     report = json.loads(captured.out)
     line = (
@@ -325,13 +326,13 @@ def test_verify_reports_a_leg_whose_blocks_miss_an_element(capsys, monkeypatch):
 def test_verify_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch):
     # the forward trip's middle value is not checked as a GBsp; a g past the
     # depth makes the other leg index past its open blocks, and fails the trip
-    real = enumeration._to_gbsp
+    real = _plain._to_gbsp
 
     def leg(n, blocks):
         F, L, g = real(n, blocks)
         return F, L, [v + 1 if v else 0 for v in g]
 
-    monkeypatch.setattr(enumeration, "_to_gbsp", leg)
+    monkeypatch.setattr(_plain, "_to_gbsp", leg)
     captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "2", expect=2)
     assert json.loads(captured.out)["discrepancies"] == [
         "n=2: partition {1,2} does not survive the round trip",

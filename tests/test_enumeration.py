@@ -4,7 +4,10 @@ from collections import Counter
 
 import pytest
 
+import lehmerpark._plain as _plain
+import lehmerpark.armleg as armleg
 import lehmerpark.enumeration as enumeration
+import lehmerpark.paren as paren
 from lehmerpark.enumeration import (
     VerificationReport,
     all_lehmer,
@@ -307,7 +310,7 @@ def test_objects_checked_at_n_max_5():
 
 
 def test_failing_check_reports_every_object(monkeypatch):
-    monkeypatch.setattr(enumeration, "_park", lambda prefs: 1)  # the first car fails
+    monkeypatch.setattr(_plain, "_park", lambda prefs: 1)  # the first car fails
     report = verify("lemma1.2", 3)
     assert report.objects_checked == 10
     assert report.discrepancies == (
@@ -323,7 +326,7 @@ def test_failing_check_reports_every_object(monkeypatch):
         "n=3: parking failed for staircase tuple (3, 2, 1)",
     )
 
-    monkeypatch.setattr(enumeration, "is_balanced", lambda sp: False)
+    monkeypatch.setattr(paren, "is_balanced", lambda sp: False)
     report = verify("lemma3.5", 3)
     assert report.objects_checked == 9
     assert report.discrepancies == (
@@ -340,8 +343,8 @@ def test_failing_check_reports_every_object(monkeypatch):
 
 
 def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
-    monkeypatch.setattr(enumeration, "depth_at", lambda diagram, i: 1)
-    monkeypatch.setattr(enumeration, "depths", lambda sp: (0,) * sp.n)
+    monkeypatch.setattr(armleg, "depth_at", lambda diagram, i: 1)
+    monkeypatch.setattr(paren, "depths", lambda sp: (0,) * sp.n)
     report = verify("lemma3.4", 3)
     assert report.objects_checked == 9
     assert report.discrepancies == tuple(

@@ -61,6 +61,33 @@ def test_every_imported_name_is_used_or_exported():
     assert unused == []
 
 
+def test_no_top_level_function_or_class_is_defined_in_two_modules():
+    # a plain sweep and the object wrapper of the same name hide which one a module
+    # calls; the module hooks of PEP 562 (__getattr__, __dir__) are exempt
+    where: dict[str, list[str]] = {}
+    for path, tree in _parsed():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                where.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in where.items() if len(files) > 1} == {}
+
+
+def test_the_plain_core_imports_only_errors_and_the_standard_library():
+    tree = ast.parse((SOURCE / "_plain.py").read_text())
+    relative = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    absolute = {
+        alias.name.partition(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.partition(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__"
+    }
+    assert relative == {"errors"}
+    assert absolute <= sys.stdlib_module_names and "dataclasses" not in absolute
+
+
 def _callee(func: ast.expr) -> str | None:
     # the name a call reaches by: f(...), self.f(...) or cls.f(...)
     if isinstance(func, ast.Name):
@@ -131,10 +158,85 @@ _LOADED = (
     ("count", "bell", "--n", "1"),
     ("count", "outcomes", "--n", "5"),
     ("enumerate", "outcomes", "--n", "3"),
+    ("enumerate", "lehmer", "--n", "3"),
 ])
 def test_counting_verbs_load_only_cli_errors_and_counting(argv):
     last = _probe(_LOADED, *argv).splitlines()[-1]
     assert last == "0 ['lehmerpark', 'lehmerpark.cli', 'lehmerpark.counting', 'lehmerpark.errors']"
+
+
+# the modules that define the dataclasses
+OBJECT_MODULES = {"armleg", "bijection", "paren", "parking", "permutation", "setpartition"}
+
+
+# `_LOADED` with stderr dropped, where verify writes its summary
+_LOADED_QUIETLY = (
+    "import contextlib, io, sys; from lehmerpark.cli import main\n"
+    "with contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, sorted(m for m in sys.modules if m == 'dataclasses' or m.startswith('lehmerpark')))"
+)
+
+
+def _loaded(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of one CLI run in a fresh interpreter, and the package modules
+    (by their short names) and `dataclasses` it loaded."""
+    code, names = _probe(_LOADED_QUIETLY, *argv).splitlines()[-1].split(" ", 1)
+    return int(code), {name.rpartition(".")[2] for name in ast.literal_eval(names)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("park", "2,2,1"),
+    ("invtable", "to-table", "5,2,4,6,1,3"),
+    ("invtable", "from-table", "4,1,3,1,0,0"),
+    ("phi", "3,4,1,5,2,6"),
+    ("to-gbsp", "3,4,1,5,2,6"),
+    ("from-gbsp", "(_ (_ 2 1) (_) 1)"),
+    ("to-partition", "3,4,1,5,2,6"),
+    ("from-partition", "{1,4}|{2,3,6}|{5}"),
+    ("check", "parking-function", "3,1,1"),
+    ("check", "lehmer", "3,1,1"),
+    ("check", "weakly-decreasing", "3,1,1"),
+    ("check", "outcome-membership", "3,4,1,6,2,5"),
+    ("enumerate", "partitions", "--n", "3"),
+    ("enumerate", "bsp", "--n", "3"),
+    ("enumerate", "gbsp", "--n", "3"),
+])
+def test_plain_verbs_load_no_object_module_and_no_dataclasses(argv):
+    code, loaded = _loaded(*argv)
+    assert code == 0 and loaded & (OBJECT_MODULES | {"dataclasses"}) == set()
+
+
+DIAGRAM_CHECKS = {"lemma3.4", "lemma3.5", "lemma3.7"}
+
+
+@pytest.mark.parametrize("theorem", [
+    "lemma1.2", "thm2.4", "lemma3.4", "lemma3.5", "lemma3.7", "lemma3.9", "cor3.10", "lemma3.12",
+    "lemma3.13", "lemma3.14", "cor3.15", "lemma3.16", "thm3.1", "prop4.1", "lemma4.2", "thm4.3",
+    "stirling",
+])
+def test_only_the_diagram_checks_load_object_modules(theorem):
+    # the diagram checks import theirs when they run, and pass
+    code, loaded = _loaded("verify", theorem, "--n-max", "4")
+    assert code == 0
+    if theorem in DIAGRAM_CHECKS:
+        assert {"armleg", "paren", "permutation"} <= loaded
+    else:
+        assert loaded & OBJECT_MODULES == set()
+
+
+def test_the_name_render_is_the_function_until_the_render_module_is_imported():
+    # the package exports paren.render as `render`, and importing the `render`
+    # submodule rebinds the package attribute to the module, in either order
+    code = (
+        "import lehmerpark, lehmerpark.paren; before = lehmerpark.render; "
+        "import lehmerpark.render; "
+        "print(before is lehmerpark.paren.render, lehmerpark.render is before, "
+        "type(lehmerpark.render).__name__)"
+    )
+    assert _probe(code) == "True False module\n"
+    code = "import lehmerpark.render; from lehmerpark import render; print(type(render).__name__)"
+    assert _probe(code) == "module\n"
 
 
 def test_package_import_loads_no_submodule():

@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+from lehmerpark._plain import _is_balanced
 from lehmerpark.enumeration import catalan
 from lehmerpark.errors import GbspError, ParseError
 from lehmerpark.paren import (
     GBsp,
     MatchedPairs,
     SpacedParen,
-    _is_balanced,
     depth,
     depths,
     enumerate_bsps,

@@ -4,12 +4,12 @@ import random
 import pytest
 from test_bijection import partition_of_2000
 
+from lehmerpark._plain import _park
 from lehmerpark.bijection import partition_to_outcome
 from lehmerpark.enumeration import all_lehmer
 from lehmerpark.parking import (
     ParkOutcome,
     PrefTuple,
-    _park,
     canonical_lehmer_preimage,
     is_lehmer,
     is_parking_function,
