@@ -5,7 +5,8 @@ and each public map wraps a sweep here; the CLI's line verbs and the
 object-free `verify` checks call this module directly.
 
 The formats: words (permutations, preference tuples, inversion tables) are
-integer tuples; a parenthesization is (n, F, L) with F and L sets of spaces; g
+integer tuples; a partial arm-leg diagram is its rows by column, 0 marking an
+empty column; a parenthesization is (n, F, L) with F and L sets of spaces; g
 is a list aligned to the spaces, 0 on F; a partition is n and its blocks, each
 ascending and the blocks by minimum.
 """
@@ -153,6 +154,45 @@ def _armleg_crossing(word) -> tuple[int, int] | None:
 
 def _contains_armleg(word: tuple[int, ...]) -> bool:
     return _armleg_crossing(word) is not None
+
+
+def _peaks(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The diagram of the permutation `word`: its entries at or above the antidiagonal."""
+    n = len(word)
+    return tuple(v if v >= n - c + 1 else 0 for c, v in enumerate(word, start=1))
+
+
+def _arms_legs(rows) -> tuple[frozenset[int], frozenset[int]]:
+    """Arm starts {n - row + 1} as openings F, leg ends {col} as closings L."""
+    n = len(rows)
+    F = frozenset(n - r + 1 for r in rows if r)
+    return F, frozenset(c for c, r in enumerate(rows, start=1) if r)
+
+
+def _depth_at(rows, i: int) -> int:
+    """Number of points in the box cols >= i, rows >= n - i + 1."""
+    lo = len(rows) - i + 1
+    return sum(1 for r in rows[i - 1:] if r >= lo)
+
+
+def _pairs_diagram(n: int, pairs) -> tuple[int, ...]:
+    """The diagram on n spaces of the pairs (f, l): the point in column l, row n - f + 1."""
+    rows = [0] * n
+    for f, l in pairs:
+        rows[l - 1] = n - f + 1
+    return tuple(rows)
+
+
+def _matching_pairs(n: int, F, L) -> tuple[tuple[int, int], ...]:
+    """The pairs (f, l) of the balanced (n, F, L), matched by a stack scan."""
+    stack: list[int] = []
+    out: list[tuple[int, int]] = []
+    for i in range(1, n + 1):
+        if i in F:
+            stack.append(i)
+        if i in L:
+            out.append((stack.pop(), i))
+    return tuple(out)
 
 
 def _certify(word: tuple[int, ...]) -> tuple[int, ...]:

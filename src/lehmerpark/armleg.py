@@ -7,6 +7,10 @@ of cells with row = n - col + 1.  Plotting a permutation puts an entry in cell
 grows an arm (leftwards to the antidiagonal) and a leg (down to it); the arm
 of a peak in row r starts at space n - r + 1, the leg of a peak in column c
 ends at space c, which ties diagrams to spaced parenthesizations.
+
+The peak reading, the arms and legs, the box count and the crossing test run
+in `_plain` on the plain diagram, its rows by column with 0 marking an empty
+column; this module wraps them in the checked `PartialArmLegDiagram`.
 """
 
 from __future__ import annotations
@@ -72,6 +76,12 @@ class PartialArmLegDiagram:
         return cls(n, [_json_array(p, "a point") for p in pts])
 
 
+def _rows(t: PartialArmLegDiagram) -> list[int]:
+    """The plain diagram of `t`: its rows by column, 0 marking an empty column."""
+    rows = dict(t.points)
+    return [rows.get(c, 0) for c in range(1, t.n + 1)]
+
+
 def peaks(p: Permutation) -> PartialArmLegDiagram:
     """The entries of `p` at or above the antidiagonal.
 
@@ -80,12 +90,10 @@ def peaks(p: Permutation) -> PartialArmLegDiagram:
     >>> peaks(Permutation((3, 4, 1, 5, 2, 6))).sorted_points()
     [GridPoint(col=4, row=5), GridPoint(col=5, row=2), GridPoint(col=6, row=6)]
     """
-    n = p.n
-    pts = frozenset(
-        GridPoint(i, v) for i, v in enumerate(p.word, start=1) if v >= n - i + 1
-    )
-    diagram = PartialArmLegDiagram(n, pts)
-    assert n == 0 or diagram.points, "the top-row entry is always a peak"
+    rows = _plain._peaks(p.word)
+    pts = frozenset(GridPoint(c, r) for c, r in enumerate(rows, start=1) if r)
+    diagram = PartialArmLegDiagram(p.n, pts)
+    assert p.n == 0 or diagram.points, "the top-row entry is always a peak"
     return diagram
 
 
@@ -96,16 +104,13 @@ def arms_legs(t: PartialArmLegDiagram) -> SpacedParen:
     >>> (sorted(sp.F), sorted(sp.L))
     ([1, 2, 5], [4, 5, 6])
     """
-    F = frozenset(t.n - p.row + 1 for p in t.points)
-    L = frozenset(p.col for p in t.points)
-    return SpacedParen(t.n, F, L)
+    return SpacedParen(t.n, *_plain._arms_legs(_rows(t)))
 
 
 def is_intersecting(t: PartialArmLegDiagram) -> bool:
     """True iff some arm crosses some leg; equivalently, points in columns
     i < j exist with n - i + 1 <= row_j < row_i."""
-    rows = dict(t.points)  # column -> row; 0 marks an empty column
-    return _plain._armleg_crossing([rows.get(c, 0) for c in range(1, t.n + 1)]) is not None
+    return _plain._armleg_crossing(_rows(t)) is not None
 
 
 def peaks_from_pairs(pairs: MatchedPairs, n: int) -> PartialArmLegDiagram:
@@ -129,5 +134,4 @@ def depth_at(t: PartialArmLegDiagram, i: int) -> int:
     """
     if not 1 <= i <= t.n:
         raise ValueError(f"space {i} out of range [1, {t.n}]")
-    lo = t.n - i + 1
-    return sum(1 for p in t.points if p.col >= i and p.row >= lo)
+    return _plain._depth_at(_rows(t), i)

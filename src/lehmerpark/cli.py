@@ -5,9 +5,9 @@ one value per line from stdin, so verbs compose in pipelines:
 
     lehmerpark enumerate partitions --n 6 | lehmerpark from-partition | lehmerpark to-partition
 
-Exit codes: 0 on success, 1 on a usage error, malformed input or a domain
-error (one JSON object describing it is printed to stderr), 2 when a
-verification run finds a discrepancy.  Output is deterministic.
+Exit codes: 0 on success, 1 on a usage error, malformed input, a domain error
+or a run out of memory (one JSON object describing it is printed to stderr), 2
+when a verification run finds a discrepancy.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-# the keys of `_readers._CHECKS`, listed here so that the parser loads no object module
+# the keys of `_readers._CHECKS`, listed here so that the parser loads neither `_readers`
+# nor `_plain`
 _CHECK_KINDS = ("lehmer", "outcome-membership", "parking-function", "weakly-decreasing")
 
 
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
         if getattr(exc, "space", None) is not None:
             error["space"] = exc.space
         print(_dump(error), file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(_dump({"error": "out of memory", "code": "memory"}), file=sys.stderr)
         return 1
 
 

@@ -17,11 +17,12 @@ outcome is a permutation (`_check_word`) that avoids the arm-leg pattern
 one is a discrepancy, so `verify` reports it with the rest (exit 2 on the CLI)
 instead of stopping with an error.
 
-This module imports only `_plain` and `counting` at the top, so 14 of the 17
-checks load no object module.  The diagram checks (`lemma3.4`, `lemma3.5`,
-`lemma3.7`), `all_lehmer`, `outcome_set`, `enumerate_partitions` and the
-discrepancy messages that print a `SpacedParen` or `GBsp` import theirs when
-they run.
+The diagram checks (`lemma3.4`, `lemma3.5`, `lemma3.7`) read the arm-leg
+diagram of `_plain` too: its rows by column, 0 marking an empty column.  This
+module imports only `_plain` and `counting` at the top, and `VerificationReport`
+is a `NamedTuple`, so no check loads an object module or `dataclasses`.  Only
+`all_lehmer`, `outcome_set`, `enumerate_partitions` and the discrepancy
+messages that print a `SpacedParen` or `GBsp` import theirs when they run.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from . import _plain
 from .counting import (
@@ -45,9 +45,7 @@ from .counting import (
 )
 
 if TYPE_CHECKING:
-    from .armleg import PartialArmLegDiagram
     from .bijection import OutcomePermutation
-    from .paren import SpacedParen
     from .parking import PrefTuple
 
 __all__ = [
@@ -90,8 +88,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Result of one named check: counterexamples are listed verbatim."""
 
     theorem: str
@@ -212,69 +209,51 @@ def _check_thm2_4(n: int):
 
 
 def _check_lemma3_4(n: int):
-    from .armleg import arms_legs, depth_at, peaks
-    from .paren import depths
-    from .permutation import Permutation
-
     def problems(w):
-        diagram = peaks(Permutation(w))
-        for i, d in enumerate(depths(arms_legs(diagram)), start=1):
-            if depth_at(diagram, i) != d:
-                yield (
-                    f"n={n}: outcome {w} space {i}: box count "
-                    f"{depth_at(diagram, i)} != paren depth {d}"
-                )
+        rows = _plain._peaks(w)
+        for i, d in enumerate(_plain._iter_depths(n, *_plain._arms_legs(rows)), start=1):
+            if (box := _plain._depth_at(rows, i)) != d:
+                yield f"n={n}: outcome {w} space {i}: box count {box} != paren depth {d}"
 
     return _each(sorted(iter_outcome_words(n)), problems)
 
 
 def _check_lemma3_5(n: int):
-    from .armleg import arms_legs, peaks
-    from .paren import is_balanced
-    from .permutation import Permutation
-
     def problems(w):
-        if not is_balanced(arms_legs(peaks(Permutation(w)))):
+        if not _plain._is_balanced(n, *_plain._arms_legs(_plain._peaks(w))):
             yield f"n={n}: arms/legs of outcome {w} are not balanced"
 
     return _each(sorted(iter_outcome_words(n)), problems)
 
 
-def _all_partial_diagrams(n: int) -> Iterator[PartialArmLegDiagram]:
+def _all_partial_diagrams(n: int) -> Iterator[tuple[int, ...]]:
     # one layer per column: every choice of rows for columns 1..c, 0 for no point;
     # column c holds no point or one in an unused row at or above the antidiagonal
-    from .armleg import GridPoint, PartialArmLegDiagram
-
     layer: list[tuple[int, ...]] = [()]
     for c in range(1, n + 1):
         choices = (0, *range(n - c + 1, n + 1))
         layer = [rows + (r,) for rows in layer for r in choices if not r or r not in rows]
-    for rows in layer:
-        points = frozenset(GridPoint(c, r) for c, r in enumerate(rows, start=1) if r)
-        yield PartialArmLegDiagram(n, points)
+    yield from layer
 
 
 def _check_lemma3_7(n: int):
-    from .armleg import arms_legs, is_intersecting, peaks_from_pairs
-    from .paren import enumerate_bsps, matching_pairs
-
-    groups: dict[SpacedParen, list[PartialArmLegDiagram]] = {}
+    groups: dict[tuple[frozenset[int], frozenset[int]], list[tuple[int, ...]]] = {}
     count = 0
-    for t in _all_partial_diagrams(n):
+    for rows in _all_partial_diagrams(n):
         count += 1
-        if not is_intersecting(t):
-            groups.setdefault(arms_legs(t), []).append(t)
+        if _plain._armleg_crossing(rows) is None:
+            groups.setdefault(_plain._arms_legs(rows), []).append(rows)
     bad = []
-    for sp in enumerate_bsps(n):
+    for F, L in _plain._bsps(n):
         count += 1
-        constructed = peaks_from_pairs(matching_pairs(sp), n)
-        if arms_legs(constructed) != sp:
-            bad.append(f"n={n}: pairs of {sp!r} do not reproduce its arms and legs")
-        candidates = groups.get(sp, [])
+        constructed = _plain._pairs_diagram(n, _plain._matching_pairs(n, F, L))
+        if _plain._arms_legs(constructed) != (F, L):
+            bad.append(f"n={n}: pairs of {_repr(n, F, L)} do not reproduce its arms and legs")
+        candidates = groups.get((F, L), [])
         if len(candidates) != 1 or candidates[0] != constructed:
             bad.append(
                 f"n={n}: {len(candidates)} non-intersecting diagrams share arms/legs "
-                f"F={sorted(sp.F)}, L={sorted(sp.L)}; expected exactly the constructed one"
+                f"F={sorted(F)}, L={sorted(L)}; expected exactly the constructed one"
             )
     return count, bad
 
@@ -315,7 +294,7 @@ def _fiber_census(n: int, objects, check, image, label, noun: str, fiber_of: str
                 f"{got} {noun}, product of depths gives {expected}"
             )
     for F, L in counts:
-        bad.append(f"n={n}: {noun} map to unlisted parenthesization {_repr(n, F, L)}")
+        bad.append(f"n={n}: {noun} map to unlisted parenthesization F={sorted(F)}, L={sorted(L)}")
     return examined, bad
 
 
@@ -434,12 +413,17 @@ def _check_thm3_1(n: int):
         if refusal := _refusal(_plain._as_outcome, w):
             bad.append(f"n={n}: outcome {w}: {refusal}")
             continue
-        b = tuple(sorted(_plain._from_gbsp(n, *_plain._phi_prime(w))))
-        if refusal := _refusal(_as_partition, n, b):
-            bad.append(f"n={n}: outcome {w} maps to partition {_plain._blocks_text(b)}: {refusal}")
-            continue
-        image.add(b)
-        if _plain._phi_prime_inv(n, *_plain._to_gbsp(n, b)) != w:
+        try:  # a g past the depth sends a leg past its open items, as in `_round_trips`
+            b = tuple(sorted(_plain._from_gbsp(n, *_plain._phi_prime(w))))
+            if refusal := _refusal(_as_partition, n, b):
+                text = _plain._blocks_text(b)
+                bad.append(f"n={n}: outcome {w} maps to partition {text}: {refusal}")
+                continue
+            image.add(b)
+            survives = _plain._phi_prime_inv(n, *_plain._to_gbsp(n, b)) == w
+        except LookupError:
+            survives = False
+        if not survives:
             bad.append(f"n={n}: outcome {w} does not survive the composed round trip")
     if image != set(partitions):
         bad.append(f"n={n}: outcome-to-partition image misses some partitions")

@@ -11,9 +11,9 @@ space i outside F a value in [1, depth(i)].  The string form writes one token
 per space: `_` for spaces in F, the g value otherwise, with `(` and `)` glued
 on, e.g. ``(_ (_ 2 1) (_) 1)``.
 
-The checks, the depth sweep, the string grammar and the generators run on
-plain (n, F, L) and g in `_plain`; this module wraps them in the checked
-`SpacedParen` and `GBsp`.
+The checks, the depth sweep, the matching of pairs, the string grammar and
+the generators run on plain (n, F, L) and g in `_plain`; this module wraps
+them in the checked `SpacedParen`, `MatchedPairs` and `GBsp`.
 """
 
 from __future__ import annotations
@@ -112,9 +112,7 @@ class MatchedPairs:
             if f > l:
                 raise ValueError(f"pair ({f},{l}) closes before it opens")
         n = max(closings, default=0)
-        word = [0] * n  # pair (f, l) is the point in column l, row n - f + 1
-        for f, l in pairs:
-            word[l - 1] = n - f + 1
+        word = _plain._pairs_diagram(n, pairs)
         crossing = _plain._armleg_crossing(word)
         if crossing:
             (fa, la), (fb, lb) = ((n - word[c - 1] + 1, c) for c in crossing)
@@ -135,14 +133,7 @@ def matching_pairs(sp: SpacedParen) -> MatchedPairs:
     """
     if not is_balanced(sp):
         raise ValueError("matching pairs are defined only for balanced parenthesizations")
-    stack: list[int] = []
-    out: list[tuple[int, int]] = []
-    for i in range(1, sp.n + 1):
-        if i in sp.F:
-            stack.append(i)
-        if i in sp.L:
-            out.append((stack.pop(), i))
-    return MatchedPairs(tuple(out))
+    return MatchedPairs(_plain._matching_pairs(sp.n, sp.F, sp.L))
 
 
 @dataclass(frozen=True)

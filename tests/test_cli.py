@@ -341,6 +341,27 @@ def test_verify_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("stub, lines", [
+    ("_to_gbsp", ["n=2: outcome (1, 2) does not survive the composed round trip"]),
+    ("_phi_prime", [
+        "n=2: outcome (1, 2) does not survive the composed round trip",
+        "n=2: outcome-to-partition image misses some partitions",
+    ]),
+])
+def test_verify_thm3_1_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch, stub, lines):
+    # either leg that yields g: a g past the depth sends the next leg past its
+    # open items, which fails the composed round trip instead of ending the run
+    real = getattr(_plain, stub)
+
+    def leg(*args):
+        F, L, g = real(*args)
+        return F, L, [v + 1 if v else 0 for v in g]
+
+    monkeypatch.setattr(_plain, stub, leg)
+    captured = run_cli(capsys, "verify", "thm3.1", "--n-max", "2", expect=2)
+    assert json.loads(captured.out)["discrepancies"] == lines
+
+
 def test_verify_unknown_theorem_exits_1(capsys):
     captured = run_cli(capsys, "verify", "thm9.9", expect=1)
     assert captured.out == ""

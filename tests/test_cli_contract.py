@@ -275,6 +275,15 @@ def test_huge_balanced_fiber_count_needs_constant_memory():
     assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize("kind", ["lehmer", "outcomes", "partitions", "bsp", "gbsp"])
+def test_running_out_of_memory_is_one_json_error(kind):
+    # the first allocation of each family at this n is a list of n entries (n ranges for lehmer)
+    done = _run_limited(("enumerate", kind, "--n", "300000000"), 256 << 20)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", '{"error":"out of memory","code":"memory"}\n'
+    )
+
+
 def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():
     # n = 1200 is past the count's time ceiling; it refuses at once instead of running for minutes
     done = _run_limited(("count", "outcomes", "--n", "1200"), 256 << 20)

@@ -5,9 +5,7 @@ from collections import Counter
 import pytest
 
 import lehmerpark._plain as _plain
-import lehmerpark.armleg as armleg
 import lehmerpark.enumeration as enumeration
-import lehmerpark.paren as paren
 from lehmerpark.enumeration import (
     VerificationReport,
     all_lehmer,
@@ -23,8 +21,9 @@ from lehmerpark.enumeration import (
     theorem_ids,
     verify,
 )
+from lehmerpark.armleg import PartialArmLegDiagram
 from lehmerpark.bijection import OutcomePermutation, outcome_to_partition
-from lehmerpark.paren import GBsp, SpacedParen, enumerate_bsps
+from lehmerpark.paren import GBsp, MatchedPairs, SpacedParen, enumerate_bsps
 from lehmerpark.permutation import Permutation
 from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition
@@ -167,10 +166,11 @@ def test_all_partial_diagrams_are_the_bell_many_rook_placements():
         diagrams = list(enumeration._all_partial_diagrams(n))
         assert len(diagrams) == len(set(diagrams)) == BELL[n + 1], f"n={n}"
         for t in diagrams:
-            cols = [c for c, _ in t.points]
-            rows = [r for _, r in t.points]
+            points = [(c, r) for c, r in enumerate(t, start=1) if r]
+            cols = [c for c, _ in points]
+            rows = [r for _, r in points]
             assert len(set(cols)) == len(cols) and len(set(rows)) == len(rows), t
-            assert all(1 <= c <= n and n - c + 1 <= r <= n for c, r in t.points), t
+            assert all(1 <= c <= n and n - c + 1 <= r <= n for c, r in points), t
 
 
 def test_weakly_decreasing_staircase_tuples_are_the_filtered_multisets():
@@ -184,11 +184,16 @@ def test_weakly_decreasing_staircase_tuples_are_the_filtered_multisets():
         assert len(filtered) == catalan(n), f"n={n}"
 
 
-@pytest.mark.parametrize("theorem", ["lemma1.2", "lemma3.12", "lemma3.13", "lemma3.16", "thm3.1"])
+@pytest.mark.parametrize("theorem", [
+    "lemma1.2", "lemma3.4", "lemma3.5", "lemma3.7", "lemma3.12", "lemma3.13", "lemma3.16", "thm3.1",
+])
 def test_heavy_checks_build_no_checked_object_per_enumerated_object(monkeypatch, theorem):
     # the checks walk plain values: no constructor check runs, not even once per n
     built = Counter()
-    for cls in (PrefTuple, Permutation, OutcomePermutation, GBsp, SetPartition):
+    for cls in (
+        PrefTuple, Permutation, OutcomePermutation, GBsp, SetPartition,
+        SpacedParen, MatchedPairs, PartialArmLegDiagram,
+    ):
         def spy(self, check=cls.__post_init__, name=cls.__name__):
             built[name] += 1
             check(self)
@@ -326,7 +331,7 @@ def test_failing_check_reports_every_object(monkeypatch):
         "n=3: parking failed for staircase tuple (3, 2, 1)",
     )
 
-    monkeypatch.setattr(paren, "is_balanced", lambda sp: False)
+    monkeypatch.setattr(_plain, "_is_balanced", lambda n, F, L: False)
     report = verify("lemma3.5", 3)
     assert report.objects_checked == 9
     assert report.discrepancies == (
@@ -343,8 +348,8 @@ def test_failing_check_reports_every_object(monkeypatch):
 
 
 def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
-    monkeypatch.setattr(armleg, "depth_at", lambda diagram, i: 1)
-    monkeypatch.setattr(paren, "depths", lambda sp: (0,) * sp.n)
+    monkeypatch.setattr(_plain, "_depth_at", lambda rows, i: 1)
+    monkeypatch.setattr(_plain, "_iter_depths", lambda n, F, L: (0,) * n)
     report = verify("lemma3.4", 3)
     assert report.objects_checked == 9
     assert report.discrepancies == tuple(
@@ -369,3 +374,42 @@ def test_report_json_shape():
     failing = VerificationReport("thm3.1", 4, 100, ("bad at n=3",), 0.0)
     assert not failing.passed
     assert failing.to_json_obj()["pass"] is False
+
+
+def test_report_is_a_frozen_record_with_the_dataclass_surface():
+    report = VerificationReport("thm3.1", 4, 100, ("bad at n=3",), 0.5)
+    same = VerificationReport(
+        theorem="thm3.1", n_max=4, objects_checked=100, discrepancies=("bad at n=3",), seconds=0.5,
+    )
+    assert report == same and hash(report) == hash(same)
+    assert report != VerificationReport("thm3.1", 4, 101, ("bad at n=3",), 0.5)
+    assert repr(report) == (
+        "VerificationReport(theorem='thm3.1', n_max=4, objects_checked=100, "
+        "discrepancies=('bad at n=3',), seconds=0.5)"
+    )
+    assert (report.theorem, report.n_max, report.objects_checked) == ("thm3.1", 4, 100)
+    assert (report.discrepancies, report.seconds, report.passed) == (("bad at n=3",), 0.5, False)
+    with pytest.raises(AttributeError):
+        report.seconds = 0.0
+
+
+@pytest.mark.parametrize("theorem, stub, lines", [
+    ("cor3.10", "_phi_prime", (
+        "n=3: fiber of F=[1, 2], L=[2, 3] has 0 outcomes, product of depths gives 1",
+        "n=3: outcomes map to unlisted parenthesization F=[1, 2, 3], L=[2, 3]",
+    )),
+    ("cor3.15", "_min_max", (
+        "n=3: F=[1], L=[3] has 0 partitions, product of depths gives 1",
+        "n=3: partitions map to unlisted parenthesization F=[1, 3], L=[3]",
+    )),
+])
+def test_an_image_with_unequal_f_and_l_is_a_discrepancy(monkeypatch, theorem, stub, lines):
+    # an image that no SpacedParen would accept is worded as F and L, not refused
+    real = getattr(_plain, stub)
+
+    def leg(x):
+        F, L, *rest = real(x)
+        return (F | {3}, L, *rest) if x in ((1, 2, 3), ((1, 2, 3),)) else (F, L, *rest)
+
+    monkeypatch.setattr(_plain, stub, leg)
+    assert verify(theorem, 3).discrepancies == lines

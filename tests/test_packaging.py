@@ -207,22 +207,15 @@ def test_plain_verbs_load_no_object_module_and_no_dataclasses(argv):
     assert code == 0 and loaded & (OBJECT_MODULES | {"dataclasses"}) == set()
 
 
-DIAGRAM_CHECKS = {"lemma3.4", "lemma3.5", "lemma3.7"}
-
-
 @pytest.mark.parametrize("theorem", [
     "lemma1.2", "thm2.4", "lemma3.4", "lemma3.5", "lemma3.7", "lemma3.9", "cor3.10", "lemma3.12",
     "lemma3.13", "lemma3.14", "cor3.15", "lemma3.16", "thm3.1", "prop4.1", "lemma4.2", "thm4.3",
     "stirling",
 ])
 def test_only_the_diagram_checks_load_object_modules(theorem):
-    # the diagram checks import theirs when they run, and pass
+    # no check loads an object module or dataclasses, the diagram checks included, and each passes
     code, loaded = _loaded("verify", theorem, "--n-max", "4")
-    assert code == 0
-    if theorem in DIAGRAM_CHECKS:
-        assert {"armleg", "paren", "permutation"} <= loaded
-    else:
-        assert loaded & OBJECT_MODULES == set()
+    assert code == 0 and loaded & (OBJECT_MODULES | {"dataclasses"}) == set()
 
 
 def test_the_name_render_is_the_function_until_the_render_module_is_imported():
