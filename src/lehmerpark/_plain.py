@@ -493,27 +493,18 @@ def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     blocks by minimum, as `SetPartition` keeps them; unchecked."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    # restricted growth string in lexicographic order (Knuth, TAOCP 4A 7.2.1.5):
-    # rgs[i] is the block of element i + 1, and tops[i] = max(rgs[:i + 1]) + 1
-    rgs = [0] * n
-    tops = [1] * n
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(tops[-1])]
-        for element, blk in enumerate(rgs, start=1):
-            blocks[blk].append(element)
-        yield tuple(tuple(blk) for blk in blocks)
-        i = n - 1
-        while i and rgs[i] == tops[i - 1]:  # element i + 1 already starts a new block
-            i -= 1
-        if not i:
-            return
-        rgs[i] += 1
-        tops[i] = max(tops[i - 1], rgs[i] + 1)
-        rgs[i + 1:] = [0] * (n - i - 1)
-        tops[i + 1:] = [tops[i]] * (n - i - 1)
+    # depth first from the blocks of [k - 1]: k joins block j for each j in turn, then
+    # starts a block of its own, which lists the restricted growth strings (Knuth,
+    # TAOCP 4A 7.2.1.5) in lexicographic order; children go on the stack last first
+    stack = [((), 1)]
+    while stack:
+        blocks, k = stack.pop()
+        if k > n:
+            yield blocks
+            continue
+        stack.append((blocks + ((k,),), k + 1))
+        for j in range(len(blocks) - 1, -1, -1):
+            stack.append((blocks[:j] + (blocks[j] + (k,),) + blocks[j + 1:], k + 1))
 
 
 def _phi_prime(word: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int], list[int]]:

@@ -5,6 +5,12 @@ one value per line from stdin, so verbs compose in pipelines:
 
     lehmerpark enumerate partitions --n 6 | lehmerpark from-partition | lehmerpark to-partition
 
+Stdin is read a buffer at a time.  The JSON lines of the values that one read
+completes are written together, up to about `io.DEFAULT_BUFFER_SIZE` characters
+per write, and flushed before the next read, so a caller that waits for each
+reply gets it even when stdout is a pipe; `enumerate` writes in the same
+pieces.  The lines made before an error are written before it is reported.
+
 Exit codes: 0 on success, 1 on a usage error, malformed input, a domain error
 or a run out of memory (one JSON object describing it is printed to stderr), 2
 when a verification run finds a discrepancy.  Output is deterministic.
@@ -13,9 +19,11 @@ when a verification run finds a discrepancy.  Output is deterministic.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 # the standard library, errors and counting only: every other module is imported
 # inside the handler of a verb that runs it, once per process
@@ -37,9 +45,28 @@ def _dump(obj) -> str:
     return "".join(_ENCODE(obj, 0))
 
 
-def _emit(obj) -> None:
-    # one write per line: with unbuffered stdout, print would make two
-    sys.stdout.write(_dump(obj) + "\n")
+def _put(lines: list[str]) -> None:
+    """Writes the lines in one write, flushed."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.flush()
+
+
+def _write(objs: Iterable) -> None:
+    """Writes the JSON line of each object, in pieces of about io.DEFAULT_BUFFER_SIZE
+    characters; the lines of the objects made before an error go out before it leaves."""
+    lines: list[str] = []
+    size = 0
+    try:
+        for obj in objs:
+            line = _dump(obj)
+            lines.append(line)
+            size += len(line)
+            if size >= io.DEFAULT_BUFFER_SIZE:
+                piece, lines, size = lines, [], 0
+                _put(piece)
+    finally:
+        _put(lines)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -64,14 +91,28 @@ def _loads(text: str):
         raise ParseError("malformed JSON: nested too deeply") from None
 
 
-def _inputs(value: str | None) -> Iterator[str]:
+def _reads(value: str | None) -> Iterator[list[str]]:
+    """The input lines, nonblank and stripped, one list per read: [value] when it is
+    given, else the lines that each read of stdin's buffer completes.  As `sys.stdin`
+    reads them on POSIX, lines end at "\n" alone and are decoded with its encoding
+    and error handler; a line that a read leaves open is carried on to the next."""
     if value is not None:
-        yield value
+        yield [value]
         return
-    for line in sys.stdin:
-        line = line.strip()
-        if line:
-            yield line
+    stdin = sys.stdin
+    head: list[bytes] = []  # the bytes of a line no read has ended yet
+    while data := stdin.buffer.read1():
+        end = data.rfind(b"\n") + 1
+        if not end:
+            head.append(data)
+            continue
+        head.append(data[:end])
+        text = b"".join(head).decode(stdin.encoding, stdin.errors)
+        head = [data[end:]]
+        yield [line for line in map(str.strip, text.split("\n")) if line]
+    last = b"".join(head).decode(stdin.encoding, stdin.errors).strip()
+    if last:
+        yield [last]
 
 
 def _blocks(blocks) -> dict:
@@ -83,8 +124,8 @@ def _cmd_transform(args) -> int:
     from ._readers import _TRANSFORMS
 
     read, apply = _TRANSFORMS[getattr(args, "direction", args.verb)]
-    for text in _inputs(args.value):
-        _emit(apply(read(text)))
+    for texts in _reads(args.value):
+        _write(apply(read(text)) for text in texts)
     return 0
 
 
@@ -97,8 +138,8 @@ def _cmd_check(args) -> int:
     from ._readers import _CHECKS
 
     run = _CHECKS[args.kind]
-    for text in _inputs(args.value):
-        _emit({"value": text, "check": args.kind, "ok": run(text)})
+    for texts in _reads(args.value):
+        _write({"value": text, "check": args.kind, "ok": run(text)} for text in texts)
     return 0
 
 
@@ -107,15 +148,16 @@ def _cmd_fiber(args) -> int:
     from .bijection import fiber, fiber_size
     from .paren import GBsp
 
-    for text in _inputs(args.value):
+    def objs(text: str) -> Iterable:
         sp = _read_paren(text)
         if isinstance(sp, GBsp):
             raise LehmerError("expected a plain parenthesization without g")
         if args.count:
-            print(fiber_size(sp))
-        else:
-            for p in fiber(sp):
-                _emit({"outcome": p.perm.to_json_obj()})
+            return [fiber_size(sp)]  # an int's JSON text is its str, as print wrote it
+        return ({"outcome": p.perm.to_json_obj()} for p in fiber(sp))
+
+    for texts in _reads(args.value):
+        _write(chain.from_iterable(map(objs, texts)))
     return 0
 
 
@@ -149,8 +191,7 @@ _FAMILIES = {
 
 
 def _cmd_enumerate(args) -> int:
-    for obj in _FAMILIES[args.kind](args.n):
-        _emit(obj)
+    _write(_FAMILIES[args.kind](args.n))
     return 0
 
 
@@ -188,7 +229,7 @@ def _cmd_verify(args) -> int:
     from .enumeration import describe_theorem, verify
 
     report = verify(args.theorem, args.n_max)
-    _emit(report.to_json_obj())
+    _write([report.to_json_obj()])
     status = "pass" if report.passed else "FAIL"
     print(
         f"{report.theorem:<10} n_max={report.n_max:<3} "
@@ -206,7 +247,7 @@ def _cmd_render(args) -> int:
     from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
 
     svg = args.format == "svg"
-    for text in _inputs(args.value):
+    for text in chain.from_iterable(_reads(args.value)):
         if args.kind == "armleg":
             source = _read_armleg(text)
             print(armleg_svg(source, extend=args.extend) if svg else armleg_ascii(source))

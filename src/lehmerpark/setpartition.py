@@ -84,6 +84,7 @@ def from_gbsp(gb: GBsp) -> SetPartition:
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
-    """Every set partition of [n] exactly once, by restricted-growth strings."""
+    """Every set partition of [n] exactly once, in lexicographic order of their
+    restricted-growth strings."""
     for blocks in _plain._partition_blocks(n):
         yield SetPartition(n, blocks)

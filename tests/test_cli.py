@@ -28,7 +28,8 @@ from lehmerpark.setpartition import enumerate_partitions
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None, expect=0):
     if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        # the CLI reads bytes from sys.stdin.buffer, as it does from a real stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), "utf-8"))
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == expect, captured.err

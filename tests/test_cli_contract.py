@@ -277,7 +277,8 @@ def test_huge_balanced_fiber_count_needs_constant_memory():
 
 @pytest.mark.parametrize("kind", ["lehmer", "outcomes", "partitions", "bsp", "gbsp"])
 def test_running_out_of_memory_is_one_json_error(kind):
-    # the first allocation of each family at this n is a list of n entries (n ranges for lehmer)
+    # each family runs out before its first line at this n: most first allocate a list of n
+    # entries (n ranges for lehmer), and partitions holds its first path's growing blocks
     done = _run_limited(("enumerate", kind, "--n", "300000000"), 256 << 20)
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", '{"error":"out of memory","code":"memory"}\n'

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from lehmerpark.enumeration import bell, enumerate_partitions
@@ -8,12 +6,13 @@ from lehmerpark.setpartition import SetPartition, from_gbsp, min_max, to_gbsp
 
 
 def all_partitions_by_assignment(n):
-    """Partitions as restricted-growth strings checked directly, no shared code,
-    in lexicographic order of the strings."""
+    """Partitions as restricted-growth strings, no shared code, in lexicographic
+    order of the strings: each label is at most one past the largest before it."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (lab,) for s in strings for lab in range(max(s, default=-1) + 2)]
     out = []
-    for labels in itertools.product(range(n), repeat=n):
-        if any(labels[i] > (max(labels[:i], default=-1) + 1) for i in range(n)):
-            continue
+    for labels in strings:
         blocks = {}
         for i, lab in enumerate(labels, start=1):
             blocks.setdefault(lab, []).append(i)
@@ -111,7 +110,7 @@ def test_g_value_ranks_open_blocks():
 
 
 def test_enumerate_partitions_counts_and_oracle():
-    for n in range(7):
+    for n in range(10):
         listed = list(enumerate_partitions(n))
         assert len(listed) == len(set(listed)) == bell(n)
         assert listed == all_partitions_by_assignment(n)
