@@ -418,10 +418,22 @@ def _gbsps(n: int) -> Iterator[tuple[frozenset[int], frozenset[int], list[int]]]
     return ((F, L, g) for F, L in _bsps(n) for g in _g_fillings(n, F, L))
 
 
+def _fiber_base(n: int, F, L) -> tuple[int, frozenset[int], frozenset[int]]:
+    """(n, F, L) if it is balanced, the only bases that fibers are defined on."""
+    if not _is_balanced(n, F, L):
+        raise ValueError("fibers are defined only for balanced parenthesizations")
+    return n, F, L
+
+
 def _fiber_size(n: int, F, L) -> int:
     """The number of g on the balanced (n, F, L): the product of the depths over
     spaces outside F, a running product that holds no value per space."""
     return math.prod(d for i, d in enumerate(_iter_depths(n, F, L), start=1) if i not in F)
+
+
+def _fiber_words(n: int, F, L) -> Iterator[tuple[int, ...]]:
+    """The uncertified word of each g on the balanced (n, F, L), in lexicographic order of g."""
+    return (_phi_prime_inv(n, F, L, g) for g in _g_fillings(n, F, L))
 
 
 def _check_blocks(n, blocks) -> tuple[tuple[int, ...], ...]:
@@ -482,6 +494,11 @@ def _blocks_json(obj) -> tuple[object, list]:
     blocks = [_json_array(b, "a block") for b in obj["blocks"]]
     n = obj["n"] if "n" in obj else sum(map(len, blocks))  # a partition of [n] has n members
     return n, blocks
+
+
+def _blocks_obj(blocks) -> dict:
+    """The JSON object of a partition's sorted blocks."""
+    return {"blocks": [list(blk) for blk in blocks]}
 
 
 def _min_max(blocks) -> tuple[frozenset[int], frozenset[int]]:

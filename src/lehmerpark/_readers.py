@@ -1,20 +1,42 @@
 """The CLI's readers and the tables of its line verbs.
 
-Each reader turns one input line into a checked value, and each table entry
-pairs a reader with the map that writes the line's JSON object.  `cli` imports
-this module inside the handlers of the verbs that read lines (transform,
-check, fiber, render), once per process.  The transform and check verbs read,
-check and write plain values through `_plain`, the only module besides `cli`
-and `errors` imported here at the top, with the checks that the constructors
-run; only the readers of `fiber` and `render`, which hand objects on, import
-the object modules.
+This is the one place a CLI line is read: the JSON decode and one reader per
+format turn it into checked plain values, and each table entry pairs a reader
+with the map that writes the line's JSON object.  Of the package it imports
+only `_plain` and `errors` at the top; `cli` imports it inside the handlers
+of the verbs that read lines (transform, check, fiber, render), once per
+process.  Only `render`'s readers wrap the plain values in objects, for the
+drawing code, and import the object modules to do so.
 """
 
 from __future__ import annotations
 
+import json
+
 from . import _plain
-from .cli import _blocks, _loads
-from .errors import ParseError, _json_array
+from .errors import ParseError, _distinct, _json_array
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _distinct([key for key, _ in pairs], "a JSON object's keys")
+    return obj
+
+
+# built once: json.loads with a hook would build a new decoder for every line
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _loads(text: str):
+    """The one JSON decode: malformed JSON and a key repeated in one object are
+    parse errors, where plain json.loads would keep the last of the repeats."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}", position=exc.pos + 1) from None
+    except RecursionError:  # the C scanner recurses once per level of nesting
+        raise ParseError("malformed JSON: nested too deeply") from None
 
 
 def _int_word(text: str, make, *keys: str):
@@ -23,7 +45,14 @@ def _int_word(text: str, make, *keys: str):
     comma or digit text form.  `make` checks each entry."""
     text = text.strip()
     if text.startswith(("[", "{")):
-        return _json_word(_loads(text), make, *keys)
+        value = _loads(text)
+        if isinstance(value, dict):
+            present = [key for key in keys if key in value]
+            if len(present) > 1:
+                raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
+            if present:
+                value = value[present[0]]
+        return make(_json_array(value, "the integers"))
     word = _plain._parse_int_word(text)
     try:
         return make(word)
@@ -33,26 +62,9 @@ def _int_word(text: str, make, *keys: str):
         raise
 
 
-def _json_word(value, make, *keys: str):
-    if isinstance(value, dict):
-        present = [key for key in keys if key in value]
-        if len(present) > 1:
-            raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
-        if present:
-            value = value[present[0]]
-    return make(_json_array(value, "the integers"))
-
-
 def _read_word(text: str) -> tuple[int, ...]:
     """The word of a permutation, checked as `Permutation` checks it."""
     return _int_word(text, _plain._check_word, "outcome", "perm")
-
-
-def _read_perm(text: str):
-    """A `Permutation`, read as `_read_word` reads its word."""
-    from .permutation import Permutation
-
-    return _int_word(text, Permutation, "outcome", "perm")
 
 
 def _read_outcome(text: str) -> tuple[int, ...]:
@@ -65,30 +77,33 @@ def _read_prefs(text: str) -> tuple[int, ...]:
     return _int_word(text, _plain._check_prefs)
 
 
-def _read_paren(text: str):
-    """A `SpacedParen` or `GBsp` as JSON, augmented exactly when it has a "g" key,
-    or as the string grammar, augmented exactly when a slot holds a digit."""
-    from .paren import GBsp, SpacedParen, parse
-
-    text = text.strip()
-    if not text.startswith("{"):
-        return parse(text)
-    obj = _loads(text)
-    return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
-
-
-def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
-    """(n, F, L, g) of a g-parenthesization, read as `_read_paren` reads one and
-    checked as `GBsp` checks it; no g is valid only when F = [n]."""
+def _paren_parts(text: str) -> tuple[int, frozenset[int], frozenset[int], dict | None]:
+    """(n, F, L) of a parenthesization, checked as `SpacedParen` checks it, and its g
+    keyed by space, or None when it has none: a JSON object has g exactly when it has
+    a "g" key, the string grammar exactly when a slot holds a digit."""
     text = text.strip()
     if text.startswith("{"):
         obj = _loads(text)
         n, F, L = _plain._check_paren(*_plain._paren_json(obj))
-        g = _plain._g_json(obj)
-    else:
-        n, F, L, g = _plain._parse(text)
-        n, F, L = _plain._check_paren(n, F, L)
-    return n, F, L, _plain._check_g(n, F, L, g)
+        return n, F, L, _plain._g_json(obj) if "g" in obj else None
+    n, F, L, g = _plain._parse(text)
+    return (*_plain._check_paren(n, F, L), g or None)
+
+
+def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
+    """(n, F, L, g) of a g-parenthesization, checked as `GBsp` checks it; no g is
+    valid only when F = [n]."""
+    n, F, L, g = _paren_parts(text)
+    return n, F, L, _plain._check_g(n, F, L, g or {})
+
+
+def _read_paren(text: str):
+    """The `SpacedParen`, or the `GBsp` when it has g, that `render paren` draws."""
+    from .paren import GBsp, SpacedParen
+
+    n, F, L, g = _paren_parts(text)
+    base = SpacedParen(n, F, L)
+    return base if g is None else GBsp(base, g)
 
 
 def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -103,17 +118,14 @@ def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def _read_armleg(text: str):
     """A `PartialArmLegDiagram` exactly when the value is a JSON object with a
-    "points" key, else a `Permutation`."""
+    "points" key, else the `Permutation` of the word `_read_word` reads."""
     from .armleg import PartialArmLegDiagram
     from .permutation import Permutation
 
     text = text.strip()
-    if not text.startswith("{"):
-        return _read_perm(text)
-    value = _loads(text)
-    if "points" in value:
+    if text.startswith("{") and "points" in (value := _loads(text)):
         return PartialArmLegDiagram.from_json_obj(value)
-    return _json_word(value, Permutation, "outcome", "perm")
+    return Permutation(_read_word(text))
 
 
 def _parked(prefs: tuple[int, ...]) -> dict:
@@ -130,7 +142,7 @@ def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
 
 def _outcome_to_partition(word: tuple[int, ...]) -> dict:
     # _from_gbsp lists the blocks in closing order; sorting puts them by minimum
-    return _blocks(sorted(_plain._from_gbsp(len(word), *_plain._phi_prime(word))))
+    return _plain._blocks_obj(sorted(_plain._from_gbsp(len(word), *_plain._phi_prime(word))))
 
 
 def _partition_to_outcome(partition) -> dict:

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from . import _plain
 from .armleg import arms_legs, peaks
-from .paren import GBsp, SpacedParen, _gbsp, _gbsp_values, is_balanced
+from .paren import GBsp, SpacedParen, _gbsp, _gbsp_values
 from .permutation import Permutation
 from .setpartition import SetPartition
 
@@ -74,18 +74,13 @@ def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
 def fiber_size(sp: SpacedParen) -> int:
     """Number of outcomes (equally, partitions) mapping to `sp`: the product of
     the depths over spaces outside F, a running product that holds no value per space."""
-    if not is_balanced(sp):
-        raise ValueError("fibers are defined only for balanced parenthesizations")
-    return _plain._fiber_size(sp.n, sp.F, sp.L)
+    return _plain._fiber_size(*_plain._fiber_base(sp.n, sp.F, sp.L))
 
 
 def fiber(sp: SpacedParen) -> Iterator[OutcomePermutation]:
     """All outcomes whose arms and legs equal `sp`, in g-lexicographic order.
     Each g runs through the plain sweep, with no GBsp, and each word is certified."""
-    if not is_balanced(sp):
-        raise ValueError("fibers are defined only for balanced parenthesizations")
-    fillings = _plain._g_fillings(sp.n, sp.F, sp.L)
-    words = (_plain._phi_prime_inv(sp.n, sp.F, sp.L, g) for g in fillings)
+    words = _plain._fiber_words(*_plain._fiber_base(sp.n, sp.F, sp.L))
     return (OutcomePermutation(Permutation(w)) for w in words)
 
 

@@ -5,11 +5,12 @@ one value per line from stdin, so verbs compose in pipelines:
 
     lehmerpark enumerate partitions --n 6 | lehmerpark from-partition | lehmerpark to-partition
 
-Stdin is read a buffer at a time.  The JSON lines of the values that one read
-completes are written together, up to about `io.DEFAULT_BUFFER_SIZE` characters
-per write, and flushed before the next read, so a caller that waits for each
-reply gets it even when stdout is a pipe; `enumerate` writes in the same
-pieces.  The lines made before an error are written before it is reported.
+Stdin is read a buffer at a time, and `_readers` reads each line.  The replies
+to the values that one read completes, JSON lines or `render`'s pictures, are
+written together, up to about `io.DEFAULT_BUFFER_SIZE` characters per write,
+and flushed before the next read, so a caller that waits for each reply gets
+it even when stdout is a pipe; `enumerate` writes in the same pieces.  The
+lines made before an error are written before it is reported.
 
 Exit codes: 0 on success, 1 on a usage error, malformed input, a domain error
 or a run out of memory (one JSON object describing it is printed to stderr), 2
@@ -28,7 +29,7 @@ from itertools import chain
 # the standard library, errors and counting only: every other module is imported
 # inside the handler of a verb that runs it, once per process
 from .counting import _staircase, bell, catalan, iter_outcome_words, outcome_peak_counts
-from .errors import LehmerError, ParseError, _distinct
+from .errors import LehmerError
 
 
 # the C encoder that json.dumps(obj, separators=(",", ":")) builds on every call, built
@@ -52,14 +53,13 @@ def _put(lines: list[str]) -> None:
         sys.stdout.flush()
 
 
-def _write(objs: Iterable) -> None:
-    """Writes the JSON line of each object, in pieces of about io.DEFAULT_BUFFER_SIZE
-    characters; the lines of the objects made before an error go out before it leaves."""
+def _write(texts: Iterable[str]) -> None:
+    """Writes each text as a line, in pieces of about io.DEFAULT_BUFFER_SIZE
+    characters; the lines made before an error go out before it leaves."""
     lines: list[str] = []
     size = 0
     try:
-        for obj in objs:
-            line = _dump(obj)
+        for line in texts:
             lines.append(line)
             size += len(line)
             if size >= io.DEFAULT_BUFFER_SIZE:
@@ -67,28 +67,6 @@ def _write(objs: Iterable) -> None:
                 _put(piece)
     finally:
         _put(lines)
-
-
-def _unique_keys(pairs: list) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        _distinct([key for key, _ in pairs], "a JSON object's keys")
-    return obj
-
-
-# built once: json.loads with a hook would build a new decoder for every line
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-
-
-def _loads(text: str):
-    """The one JSON decode: malformed JSON and a key repeated in one object are
-    parse errors, where plain json.loads would keep the last of the repeats."""
-    try:
-        return _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}", position=exc.pos + 1) from None
-    except RecursionError:  # the C scanner recurses once per level of nesting
-        raise ParseError("malformed JSON: nested too deeply") from None
 
 
 def _reads(value: str | None) -> Iterator[list[str]]:
@@ -115,17 +93,12 @@ def _reads(value: str | None) -> Iterator[list[str]]:
         yield [last]
 
 
-def _blocks(blocks) -> dict:
-    """The JSON object of a partition's blocks, already in `SetPartition` order."""
-    return {"blocks": [list(blk) for blk in blocks]}
-
-
 def _cmd_transform(args) -> int:
     from ._readers import _TRANSFORMS
 
     read, apply = _TRANSFORMS[getattr(args, "direction", args.verb)]
     for texts in _reads(args.value):
-        _write(apply(read(text)) for text in texts)
+        _write(_dump(apply(read(text))) for text in texts)
     return 0
 
 
@@ -139,32 +112,33 @@ def _cmd_check(args) -> int:
 
     run = _CHECKS[args.kind]
     for texts in _reads(args.value):
-        _write({"value": text, "check": args.kind, "ok": run(text)} for text in texts)
+        _write(_dump({"value": text, "check": args.kind, "ok": run(text)}) for text in texts)
     return 0
 
 
 def _cmd_fiber(args) -> int:
-    from ._readers import _read_paren
-    from .bijection import fiber, fiber_size
-    from .paren import GBsp
+    from . import _plain
+    from ._readers import _paren_parts
 
     def objs(text: str) -> Iterable:
-        sp = _read_paren(text)
-        if isinstance(sp, GBsp):
+        n, F, L, g = _paren_parts(text)
+        if g is not None:  # a g is checked as `GBsp` checks it, then refused
+            _plain._check_g(n, F, L, g)
             raise LehmerError("expected a plain parenthesization without g")
+        base = _plain._fiber_base(n, F, L)
         if args.count:
-            return [fiber_size(sp)]  # an int's JSON text is its str, as print wrote it
-        return ({"outcome": p.perm.to_json_obj()} for p in fiber(sp))
+            return [_plain._fiber_size(*base)]  # an int's JSON text is its str
+        return ({"outcome": list(_plain._as_outcome(w))} for w in _plain._fiber_words(*base))
 
     for texts in _reads(args.value):
-        _write(chain.from_iterable(map(objs, texts)))
+        _write(map(_dump, chain.from_iterable(map(objs, texts))))
     return 0
 
 
 def _partition_objs(n: int) -> Iterator[dict]:
     from . import _plain
 
-    return map(_blocks, _plain._partition_blocks(n))
+    return map(_plain._blocks_obj, _plain._partition_blocks(n))
 
 
 def _bsp_objs(n: int) -> Iterator[dict]:
@@ -191,7 +165,7 @@ _FAMILIES = {
 
 
 def _cmd_enumerate(args) -> int:
-    _write(_FAMILIES[args.kind](args.n))
+    _write(map(_dump, _FAMILIES[args.kind](args.n)))
     return 0
 
 
@@ -229,7 +203,7 @@ def _cmd_verify(args) -> int:
     from .enumeration import describe_theorem, verify
 
     report = verify(args.theorem, args.n_max)
-    _write([report.to_json_obj()])
+    _write([_dump(report.to_json_obj())])
     status = "pass" if report.passed else "FAIL"
     print(
         f"{report.theorem:<10} n_max={report.n_max:<3} "
@@ -247,13 +221,13 @@ def _cmd_render(args) -> int:
     from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
 
     svg = args.format == "svg"
-    for text in chain.from_iterable(_reads(args.value)):
-        if args.kind == "armleg":
-            source = _read_armleg(text)
-            print(armleg_svg(source, extend=args.extend) if svg else armleg_ascii(source))
-        else:
-            paren = _read_paren(text)
-            print(paren_svg(paren) if svg else paren_ascii(paren))
+    if args.kind == "armleg":
+        read = _read_armleg
+        draw = (lambda x: armleg_svg(x, extend=args.extend)) if svg else armleg_ascii
+    else:
+        read, draw = _read_paren, paren_svg if svg else paren_ascii
+    for texts in _reads(args.value):
+        _write(draw(read(text)) for text in texts)
     return 0
 
 

@@ -18,8 +18,10 @@ set, and the work is the sum of the Bell-sized levels rather than n!.
 `outcome_peak_counts(n)` counts the same landing sequences without reaching
 the outcomes: a sweep over the spots from n down to 1 defers each landing
 below a bound until it reaches the spot, so its state is one integer.  It
-makes O(n^3) big-integer sums and is capped at `_DP_MAX_N` by time; the walk
-stays the way to list the outcomes and the oracle the count is checked against.
+makes O(n^3) big-integer sums and is capped at `_DP_MAX_N` by time; its step
+does not depend on n, so `_peak_rows` gives every row up to a bound in one
+sweep.  The walk stays the way to list the outcomes and the oracle the count
+is checked against.
 
 `bell`, `catalan` and `_stirling_row` are standalone recurrences (Bell
 triangle, Catalan ratio, Stirling triangle) so the counting checks do
@@ -86,6 +88,31 @@ def outcome_words(n: int) -> set[tuple[int, ...]]:
 _DP_MAX_N = 280
 
 
+def _peak_rows(n_max: int) -> Iterator[list[int]]:
+    """The rows of `outcome_peak_counts` for n = 0..n_max, in one sweep.
+
+    The step for car k does not depend on n.  The sweep prunes at p <= n_max - k,
+    and p falls by at most 1 per car, so a pruned path could not return to
+    p = 0 by car n_max: rows[0] after car k is exact for n = k.  No later step
+    mutates a list it has yielded.
+    """
+    rows = [[1]]  # rows[p][j]: paths with p reservations outstanding and j peaks
+    yield rows[0]
+    for car in range(1, n_max + 1):
+        zero = [0] * car
+        rows.append(zero)
+        # settle spot n - car + 1; settled[p + 1] holds p reservations and p + 1 queued spots
+        settled = [zero] + [
+            [a + (p + 1) * b for a, b in zip(rows[p], rows[p + 1])] for p in range(len(rows) - 1)
+        ] + [zero]
+        # car reserves (p - 1 -> p) or takes the queue's head, a peak (p -> p)
+        rows = [
+            [a + b for a, b in zip(settled[p] + [0], [0] + settled[p + 1])]
+            for p in range(min(car, n_max - car) + 1)
+        ]
+        yield rows[0]
+
+
 def outcome_peak_counts(n: int) -> list[int]:
     """Entry k is the number of outcomes of length n with k peaks; the row sums to Bell(n).
 
@@ -96,6 +123,7 @@ def outcome_peak_counts(n: int) -> list[int]:
     when the sweep reaches it, or takes the queue's head, a peak.  The queue
     holds one spot more than there are reservations before the car and as many
     after it, so p is the whole state; p <= n - k, the spots not yet settled.
+    The sweep is `_peak_rows`, whose last row is this one.
 
     >>> outcome_peak_counts(4)
     [0, 1, 7, 6, 1]
@@ -107,20 +135,9 @@ def outcome_peak_counts(n: int) -> list[int]:
             f"n = {n} is past the ceiling n <= {_DP_MAX_N} of the reservation count, "
             "whose O(n^3) big-integer sums take about a second there"
         )
-    rows = [[1]]  # rows[p][j]: paths with p reservations outstanding and j peaks
-    for car in range(1, n + 1):
-        zero = [0] * car
-        rows.append(zero)
-        # settle spot n - car + 1; settled[p + 1] holds p reservations and p + 1 queued spots
-        settled = [zero] + [
-            [a + (p + 1) * b for a, b in zip(rows[p], rows[p + 1])] for p in range(len(rows) - 1)
-        ] + [zero]
-        # car reserves (p - 1 -> p) or takes the queue's head, a peak (p -> p)
-        rows = [
-            [a + b for a, b in zip(settled[p] + [0], [0] + settled[p + 1])]
-            for p in range(min(car, n - car) + 1)
-        ]
-    return rows[0]
+    for row in _peak_rows(n):
+        pass
+    return row
 
 
 def bell(n: int) -> int:

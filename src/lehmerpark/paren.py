@@ -220,6 +220,4 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
-    for sp in enumerate_bsps(n):
-        for g in _plain._g_fillings(n, sp.F, sp.L):
-            yield _gbsp(sp, g)
+    return (_gbsp(SpacedParen(n, F, L), g) for F, L, g in _plain._gbsps(n))

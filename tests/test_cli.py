@@ -11,6 +11,7 @@ import pytest
 import lehmerpark
 import lehmerpark._plain as _plain
 import lehmerpark.cli as cli
+import lehmerpark.counting as counting
 import lehmerpark.enumeration as enumeration
 from lehmerpark.bijection import (
     OutcomePermutation,
@@ -205,17 +206,20 @@ def test_count_verbs(capsys):
 
 
 def test_count_outcomes_is_bell_and_the_peak_row_is_stirling_up_to_the_ceiling(capsys, monkeypatch):
-    rows = {}
-
-    def recorded(n):
-        rows[n] = enumeration.outcome_peak_counts(n)
-        return rows[n]
-
-    monkeypatch.setattr(cli, "outcome_peak_counts", recorded)
+    # one sweep gives every row up to the ceiling; each must be the Stirling row
+    rows = list(counting._peak_rows(enumeration._DP_MAX_N))
+    assert len(rows) == enumeration._DP_MAX_N + 1
+    for n, row in enumerate(rows):
+        assert row == enumeration._stirling_row(n), f"n={n}"
+    # outcome_peak_counts(n) prunes at n itself: compare it at every small n and at a
+    # few up to the ceiling, where each call costs about as much as the whole sweep
+    for n in [*range(40), 100, 200, enumeration._DP_MAX_N - 1, enumeration._DP_MAX_N]:
+        assert enumeration.outcome_peak_counts(n) == rows[n], f"n={n}"
+    # the CLI's count, served from the rows, is Bell(n) at every n up to the ceiling
+    monkeypatch.setattr(cli, "outcome_peak_counts", rows.__getitem__)
     for n in range(enumeration._DP_MAX_N + 1):
         outcomes = run_cli(capsys, "count", "outcomes", "--n", str(n)).out
         assert outcomes == run_cli(capsys, "count", "bell", "--n", str(n)).out, f"n={n}"
-        assert rows.pop(n) == enumeration._stirling_row(n), f"n={n}"
 
 
 def test_count_prints_past_the_int_print_limit_and_restores_it(capsys):

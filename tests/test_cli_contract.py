@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lehmerpark
 import lehmerpark._readers as readers
-import lehmerpark.cli as cli
 from lehmerpark import (
     GBsp,
     InversionTable,
@@ -30,6 +29,7 @@ from lehmerpark import (
     SetPartition,
     SpacedParen,
     outcome_to_partition,
+    parse,
     partition_to_outcome,
     phi_prime,
     phi_prime_inv,
@@ -166,18 +166,22 @@ gbsp_objects = st.fixed_dictionaries(
 
 def _checked(verb, text):
     """The library path of a roundtrip verb: the value read into checked objects
-    by the object readers, then mapped by the library."""
+    by the library's own readers and constructors, then mapped by the library."""
+    text = text.strip()
     if verb == "from-gbsp":
-        x = readers._read_paren(text)
+        if text.startswith("{"):
+            obj = readers._loads(text)
+            x = GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
+        else:
+            x = parse(text)
         return {"outcome": list(phi_prime_inv(x if isinstance(x, GBsp) else GBsp(x, {})).word)}
     if verb == "from-partition":
-        text = text.strip()
         if text.startswith("{") and not text.startswith("{{") and '"' in text:
-            b = SetPartition.from_json_obj(cli._loads(text))
+            b = SetPartition.from_json_obj(readers._loads(text))
         else:
             b = SetPartition.from_text(text)
         return {"outcome": list(partition_to_outcome(b).word)}
-    p = OutcomePermutation(readers._read_perm(text))
+    p = OutcomePermutation(readers._int_word(text, Permutation, "outcome", "perm"))
     if verb == "to-gbsp":
         return phi_prime(p).to_json_obj()
     return {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]}

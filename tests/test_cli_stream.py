@@ -5,6 +5,7 @@ with the library, line by line."""
 
 import contextlib
 import io
+import json
 import os
 import select
 import subprocess
@@ -15,16 +16,20 @@ import pytest
 
 import lehmerpark
 from lehmerpark import (
+    GBsp,
     OutcomePermutation,
     Permutation,
     PrefTuple,
     SetPartition,
+    SpacedParen,
     is_lehmer,
     outcome_to_partition,
     park,
+    parse,
     partition_to_outcome,
 )
 from lehmerpark.cli import _dump, main
+from lehmerpark.render import paren_ascii, paren_svg
 
 REPLY_TIMEOUT_S = 10
 
@@ -91,12 +96,12 @@ DEEP = _outcome_text(N, [(i, N + 1 - i) for i in range(1, N // 2 + 1)])
 SMALL = [_outcome_text(4, [(1, 3), (2, 4)]), _outcome_text(3, [(1,), (2, 3)]), "[2,1]", "1"]
 
 
-def _reply(proc) -> bytes:
-    """The next line of the process's stdout, which must arrive within the timeout."""
+def _reply(proc, lines: int = 1) -> bytes:
+    """The next `lines` lines of the process's stdout, which must arrive within the timeout."""
     fd = proc.stdout.fileno()
     deadline = time.monotonic() + REPLY_TIMEOUT_S
     got = b""
-    while not got.endswith(b"\n"):
+    while got.count(b"\n") < lines:
         ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
         assert ready, f"no reply within {REPLY_TIMEOUT_S} s; so far {got[:80]!r}"
         chunk = os.read(fd, 1 << 16)
@@ -115,6 +120,40 @@ def test_each_reply_arrives_before_the_next_line_is_sent(verb):
         for text in [SMALL[0], DEEP, *SMALL[1:], DEEP]:
             proc.stdin.write(text.encode() + b"\n")
             assert _reply(proc) == _line(LIBRARY[verb](text))
+        proc.stdin.close()
+        assert proc.wait(timeout=REPLY_TIMEOUT_S) == 0
+        assert proc.stdout.read() == b"" and proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+PICTURES = {"ascii": paren_ascii, "svg": paren_svg}
+PARENS = ["(_ (_ 2 1) (_) 1)", '{"n":6,"F":[1,2,5],"L":[4,5,6]}', "(_)",
+          '{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":1}}']
+
+
+def _paren(text: str):
+    """The library's reading of one line that `render paren` draws."""
+    if text.startswith("("):
+        return parse(text)
+    obj = json.loads(text)
+    return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("fmt", list(PICTURES))
+def test_each_picture_arrives_before_the_next_line_is_sent(fmt):
+    # no -u and no PYTHONUNBUFFERED: each picture must still be flushed before the next read
+    proc = subprocess.Popen(_argv("render", "paren", "--format", fmt), stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_env(unbuffered=False), bufsize=0)
+    try:
+        for text in PARENS:
+            picture = (PICTURES[fmt](_paren(text)) + "\n").encode()
+            proc.stdin.write(text.encode() + b"\n")
+            assert _reply(proc, picture.count(b"\n")) == picture
         proc.stdin.close()
         assert proc.wait(timeout=REPLY_TIMEOUT_S) == 0
         assert proc.stdout.read() == b"" and proc.stderr.read() == b""

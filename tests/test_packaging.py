@@ -1,6 +1,7 @@
 """Guards over the package source: the runtime-dependency promise (the package
-imports only the standard library), no unused import, no recursion, no network
-or XML stack loaded by the CLI, and no module loaded that a verb does not run."""
+imports only the standard library), no unused import, no import cycle, no
+recursion, no network or XML stack loaded by the CLI, and no module loaded that
+a verb does not run."""
 
 import ast
 import json
@@ -86,6 +87,26 @@ def test_the_plain_core_imports_only_errors_and_the_standard_library():
     }
     assert relative == {"errors"}
     assert absolute <= sys.stdlib_module_names and "dataclasses" not in absolute
+
+
+def test_the_package_imports_form_no_cycle():
+    # every relative import counts, those inside functions too: a cycle ties two
+    # modules' load order to whichever a caller happens to import first
+    trees = _parsed()
+    modules = {path.stem for path, _ in trees}
+    imports = {}
+    for path, tree in trees:
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                targets.update(name for name in names if name in modules)
+        imports[path.stem] = targets - {path.stem}
+    # peel off the modules that import nothing left; a cycle is what cannot be peeled
+    while leaves := [m for m, targets in imports.items() if not targets & imports.keys()]:
+        for m in leaves:
+            del imports[m]
+    assert imports == {}
 
 
 def _callee(func: ast.expr) -> str | None:
@@ -198,6 +219,8 @@ def _loaded(*argv: str) -> tuple[int, set[str]]:
     ("check", "lehmer", "3,1,1"),
     ("check", "weakly-decreasing", "3,1,1"),
     ("check", "outcome-membership", "3,4,1,6,2,5"),
+    ("fiber", "(_ (_ _ _) (_) _)"),
+    ("fiber", "--count", "(_ (_ _ _) (_) _)"),
     ("enumerate", "partitions", "--n", "3"),
     ("enumerate", "bsp", "--n", "3"),
     ("enumerate", "gbsp", "--n", "3"),
