@@ -17,6 +17,7 @@ import itertools
 import math
 import re
 from bisect import bisect, bisect_left, insort
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
 
 from .errors import _INT, GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array
@@ -154,6 +155,36 @@ def _armleg_crossing(word) -> tuple[int, int] | None:
 
 def _contains_armleg(word: tuple[int, ...]) -> bool:
     return _armleg_crossing(word) is not None
+
+
+GridPoint = namedtuple("GridPoint", ["col", "row"])  # a cell (col, row) of the diagram grid
+
+
+def _check_diagram(n, points) -> tuple[int, ...]:
+    """The check of `PartialArmLegDiagram`: the rows by column of the points (col, row),
+    each at or above the antidiagonal of the n-by-n grid and no two in one row or
+    column, or the first error found.  The constructor and the CLI both read through it."""
+    pts = _distinct(list(map(GridPoint._make, _int_pairs(points, "points"))), "points")
+    if _int(n, "n") < 0:
+        raise ValueError("n must be nonnegative")
+    for c, r in pts:
+        if not (1 <= c <= n and 1 <= r <= n):
+            raise ValueError(f"point ({c},{r}) outside the [{n}] grid")
+        if r < n - c + 1:
+            raise ValueError(f"point ({c},{r}) lies below the antidiagonal")
+    rows = dict(pts)
+    if len(rows) < len(pts) or len(set(rows.values())) < len(rows):
+        raise ValueError("two points share a row or column")
+    return tuple(rows.get(c, 0) for c in range(1, n + 1))
+
+
+def _diagram_json(obj) -> tuple:
+    """n and the points of a diagram's JSON object, checked only for shape."""
+    try:
+        n, pts = obj["n"], _json_array(obj["points"], "points")
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"expected keys n, points in {obj!r}") from exc
+    return n, [_json_array(p, "a point") for p in pts]
 
 
 def _peaks(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,6 +392,15 @@ def _parse(s: str) -> tuple[int, set[int], set[int], dict[int, int]]:
                 )
             g[pos] = int(slot)
     return len(tokens), F, L, g
+
+
+def _paren_text(n: int, F, L, g=None) -> str:
+    """The string grammar of (n, F, L) and g, `_parse`'s inverse; g is aligned to
+    spaces and 0 on F, or None, which leaves every slot `_`."""
+    return " ".join(
+        ("(" if i in F else "") + (str(g[i - 1]) if g and g[i - 1] else "_") + (")" if i in L else "")
+        for i in range(1, n + 1)
+    )
 
 
 def _bsps(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:

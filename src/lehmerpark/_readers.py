@@ -3,10 +3,9 @@
 This is the one place a CLI line is read: the JSON decode and one reader per
 format turn it into checked plain values, and each table entry pairs a reader
 with the map that writes the line's JSON object.  Of the package it imports
-only `_plain` and `errors` at the top; `cli` imports it inside the handlers
-of the verbs that read lines (transform, check, fiber, render), once per
-process.  Only `render`'s readers wrap the plain values in objects, for the
-drawing code, and import the object modules to do so.
+only `_plain` and `errors`, and so no object module; `cli` imports it inside
+the handlers of the verbs that read lines (transform, check, fiber, render),
+once per process.
 """
 
 from __future__ import annotations
@@ -45,14 +44,7 @@ def _int_word(text: str, make, *keys: str):
     comma or digit text form.  `make` checks each entry."""
     text = text.strip()
     if text.startswith(("[", "{")):
-        value = _loads(text)
-        if isinstance(value, dict):
-            present = [key for key in keys if key in value]
-            if len(present) > 1:
-                raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
-            if present:
-                value = value[present[0]]
-        return make(_json_array(value, "the integers"))
+        return _json_word(_loads(text), make, *keys)
     word = _plain._parse_int_word(text)
     try:
         return make(word)
@@ -60,6 +52,17 @@ def _int_word(text: str, make, *keys: str):
         if len(word) > 1 and "," not in text:  # the digit form was read: say so
             exc.args = (f"{exc}; the digit string {text!r} is read one digit per entry",)
         raise
+
+
+def _json_word(value, make, *keys: str):
+    """`_int_word` of a decoded JSON value."""
+    if isinstance(value, dict):
+        present = [key for key in keys if key in value]
+        if len(present) > 1:
+            raise ParseError(f"a JSON object holds both {present[0]!r} and {present[1]!r}")
+        if present:
+            value = value[present[0]]
+    return make(_json_array(value, "the integers"))
 
 
 def _read_word(text: str) -> tuple[int, ...]:
@@ -77,33 +80,28 @@ def _read_prefs(text: str) -> tuple[int, ...]:
     return _int_word(text, _plain._check_prefs)
 
 
-def _paren_parts(text: str) -> tuple[int, frozenset[int], frozenset[int], dict | None]:
-    """(n, F, L) of a parenthesization, checked as `SpacedParen` checks it, and its g
-    keyed by space, or None when it has none: a JSON object has g exactly when it has
-    a "g" key, the string grammar exactly when a slot holds a digit."""
+def _paren_parts(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int] | None]:
+    """(n, F, L) of a parenthesization, checked as `SpacedParen` checks it, and its g,
+    checked as `GBsp` checks it and aligned to spaces, or None when it has none: a JSON
+    object has g exactly when it has a "g" key, the string grammar exactly when a slot
+    holds a digit."""
     text = text.strip()
     if text.startswith("{"):
         obj = _loads(text)
         n, F, L = _plain._check_paren(*_plain._paren_json(obj))
-        return n, F, L, _plain._g_json(obj) if "g" in obj else None
-    n, F, L, g = _plain._parse(text)
-    return (*_plain._check_paren(n, F, L), g or None)
+        g = _plain._g_json(obj) if "g" in obj else None
+    else:
+        n, F, L, g = _plain._parse(text)
+        n, F, L = _plain._check_paren(n, F, L)
+        g = g or None
+    return n, F, L, None if g is None else _plain._check_g(n, F, L, g)
 
 
 def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
     """(n, F, L, g) of a g-parenthesization, checked as `GBsp` checks it; no g is
     valid only when F = [n]."""
     n, F, L, g = _paren_parts(text)
-    return n, F, L, _plain._check_g(n, F, L, g or {})
-
-
-def _read_paren(text: str):
-    """The `SpacedParen`, or the `GBsp` when it has g, that `render paren` draws."""
-    from .paren import GBsp, SpacedParen
-
-    n, F, L, g = _paren_parts(text)
-    base = SpacedParen(n, F, L)
-    return base if g is None else GBsp(base, g)
+    return n, F, L, _plain._check_g(n, F, L, {}) if g is None else g
 
 
 def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -116,16 +114,17 @@ def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return n, _plain._check_blocks(n, blocks)
 
 
-def _read_armleg(text: str):
-    """A `PartialArmLegDiagram` exactly when the value is a JSON object with a
-    "points" key, else the `Permutation` of the word `_read_word` reads."""
-    from .armleg import PartialArmLegDiagram
-    from .permutation import Permutation
-
+def _read_armleg(text: str) -> tuple[int, ...]:
+    """The cells word that `render armleg` draws: a diagram's rows, checked as
+    `PartialArmLegDiagram` checks them, exactly when the value is a JSON object with
+    a "points" key, else the word `_read_word` reads."""
     text = text.strip()
-    if text.startswith("{") and "points" in (value := _loads(text)):
-        return PartialArmLegDiagram.from_json_obj(value)
-    return Permutation(_read_word(text))
+    if not text.startswith("{"):
+        return _read_word(text)
+    value = _loads(text)
+    if "points" in value:
+        return _plain._check_diagram(*_plain._diagram_json(value))
+    return _json_word(value, _plain._check_word, "outcome", "perm")
 
 
 def _parked(prefs: tuple[int, ...]) -> dict:

@@ -8,18 +8,18 @@ grows an arm (leftwards to the antidiagonal) and a leg (down to it); the arm
 of a peak in row r starts at space n - r + 1, the leg of a peak in column c
 ends at space c, which ties diagrams to spaced parenthesizations.
 
-The peak reading, the arms and legs, the box count and the crossing test run
-in `_plain` on the plain diagram, its rows by column with 0 marking an empty
-column; this module wraps them in the checked `PartialArmLegDiagram`.
+The check, the JSON splitter, the peak reading, the arms and legs, the box
+count and the crossing test run in `_plain` on the plain diagram, its rows by
+column with 0 marking an empty column; this module wraps them in the checked
+`PartialArmLegDiagram`, which keeps the plain diagram its check returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import _plain
-from .errors import ParseError, _distinct, _int, _int_pairs, _json_array
+from ._plain import GridPoint
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation
 
@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 
-class GridPoint(NamedTuple):
-    col: int
-    row: int
-
-
 @dataclass(frozen=True)
 class PartialArmLegDiagram:
     """Points (col, row) with row >= n - col + 1, no two sharing a row or column."""
@@ -47,19 +42,9 @@ class PartialArmLegDiagram:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
-        pts = _distinct([GridPoint(*p) for p in _int_pairs(self.points, "points")], "points")
-        object.__setattr__(self, "points", pts)
-        if _int(self.n, "n") < 0:
-            raise ValueError("n must be nonnegative")
-        for c, r in pts:
-            if not (1 <= c <= self.n and 1 <= r <= self.n):
-                raise ValueError(f"point ({c},{r}) outside the [{self.n}] grid")
-            if r < self.n - c + 1:
-                raise ValueError(f"point ({c},{r}) lies below the antidiagonal")
-        cols = [p.col for p in pts]
-        rows = [p.row for p in pts]
-        if len(set(cols)) != len(cols) or len(set(rows)) != len(rows):
-            raise ValueError("two points share a row or column")
+        points = tuple(self.points)
+        object.__setattr__(self, "_rows", _plain._check_diagram(self.n, points))
+        object.__setattr__(self, "points", frozenset(map(GridPoint._make, points)))
 
     def sorted_points(self) -> list[GridPoint]:
         return sorted(self.points)
@@ -69,17 +54,7 @@ class PartialArmLegDiagram:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PartialArmLegDiagram":
-        try:
-            n, pts = obj["n"], _json_array(obj["points"], "points")
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"expected keys n, points in {obj!r}") from exc
-        return cls(n, [_json_array(p, "a point") for p in pts])
-
-
-def _rows(t: PartialArmLegDiagram) -> list[int]:
-    """The plain diagram of `t`: its rows by column, 0 marking an empty column."""
-    rows = dict(t.points)
-    return [rows.get(c, 0) for c in range(1, t.n + 1)]
+        return cls(*_plain._diagram_json(obj))
 
 
 def peaks(p: Permutation) -> PartialArmLegDiagram:
@@ -104,13 +79,13 @@ def arms_legs(t: PartialArmLegDiagram) -> SpacedParen:
     >>> (sorted(sp.F), sorted(sp.L))
     ([1, 2, 5], [4, 5, 6])
     """
-    return SpacedParen(t.n, *_plain._arms_legs(_rows(t)))
+    return SpacedParen(t.n, *_plain._arms_legs(t._rows))
 
 
 def is_intersecting(t: PartialArmLegDiagram) -> bool:
     """True iff some arm crosses some leg; equivalently, points in columns
     i < j exist with n - i + 1 <= row_j < row_i."""
-    return _plain._armleg_crossing(_rows(t)) is not None
+    return _plain._armleg_crossing(t._rows) is not None
 
 
 def peaks_from_pairs(pairs: MatchedPairs, n: int) -> PartialArmLegDiagram:
@@ -134,4 +109,4 @@ def depth_at(t: PartialArmLegDiagram, i: int) -> int:
     """
     if not 1 <= i <= t.n:
         raise ValueError(f"space {i} out of range [1, {t.n}]")
-    return _plain._depth_at(_rows(t), i)
+    return _plain._depth_at(t._rows, i)

@@ -122,8 +122,7 @@ def _cmd_fiber(args) -> int:
 
     def objs(text: str) -> Iterable:
         n, F, L, g = _paren_parts(text)
-        if g is not None:  # a g is checked as `GBsp` checks it, then refused
-            _plain._check_g(n, F, L, g)
+        if g is not None:  # `_paren_parts` checks a g as `GBsp` checks it; it is then refused
             raise LehmerError("expected a plain parenthesization without g")
         base = _plain._fiber_base(n, F, L)
         if args.count:
@@ -217,15 +216,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from ._readers import _read_armleg, _read_paren
-    from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
+    from . import _plain
+    from ._readers import _paren_parts, _read_armleg
+    from .render import _armleg_ascii, _armleg_svg, _paren_ascii, _paren_svg
 
     svg = args.format == "svg"
     if args.kind == "armleg":
         read = _read_armleg
-        draw = (lambda x: armleg_svg(x, extend=args.extend)) if svg else armleg_ascii
+        draw = (lambda cells: _armleg_svg(cells, args.extend)) if svg else _armleg_ascii
     else:
-        read, draw = _read_paren, paren_svg if svg else paren_ascii
+        read = lambda text: _plain._paren_text(*_paren_parts(text))
+        draw = _paren_svg if svg else _paren_ascii
     for texts in _reads(args.value):
         _write(draw(read(text)) for text in texts)
     return 0

@@ -23,14 +23,15 @@ does not depend on n, so `_peak_rows` gives every row up to a bound in one
 sweep.  The walk stays the way to list the outcomes and the oracle the count
 is checked against.
 
-`bell`, `catalan` and `_stirling_row` are standalone recurrences (Bell
-triangle, Catalan ratio, Stirling triangle) so the counting checks do
-not share code with the structures they count.
+`bell` and `_stirling_row` are standalone recurrences (Bell triangle,
+Stirling triangle), and `catalan` is the binomial formula, so the counting
+checks do not share code with the structures they count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 
 
@@ -158,17 +159,14 @@ def bell(n: int) -> int:
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number, by the ratio C_{m+1} = C_m 2(2m + 1) / (m + 2).
+    """The n-th Catalan number, binomial(2n, n) / (n + 1).
 
     >>> [catalan(k) for k in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = 1
-    for m in range(n):
-        c = c * 2 * (2 * m + 1) // (m + 2)  # exact: the quotient is C_{m+1}
-    return c
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def _stirling_row(n: int) -> list[int]:

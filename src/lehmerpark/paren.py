@@ -192,13 +192,9 @@ def render(x: SpacedParen | GBsp) -> str:
     >>> render(SpacedParen(7, frozenset({1, 3, 5}), frozenset({5, 6, 7})))
     '(_ _ (_ _ (_) _) _)'
     """
-    base = x.base if isinstance(x, GBsp) else x
-    g = x.g_map if isinstance(x, GBsp) else {}
-    tokens = []
-    for i in range(1, base.n + 1):
-        slot = str(g[i]) if i in g else "_"
-        tokens.append(("(" if i in base.F else "") + slot + (")" if i in base.L else ""))
-    return " ".join(tokens)
+    if isinstance(x, GBsp):
+        return _plain._paren_text(*_gbsp_values(x))
+    return _plain._paren_text(x.n, x.F, x.L)
 
 
 def parse(s: str) -> SpacedParen | GBsp:

@@ -1,10 +1,18 @@
-"""ASCII and SVG renderers for arm-leg diagrams and parenthesizations."""
+"""ASCII and SVG renderers for arm-leg diagrams and parenthesizations.
+
+Each public function unpacks its object into the plain value that its drawer
+reads and the CLI's `render` reads directly: the cells word of a diagram (the
+row of each column, 0 for an empty one) or a parenthesization's string form.
+"""
 
 from __future__ import annotations
 
-from .armleg import PartialArmLegDiagram, peaks
-from .paren import GBsp, SpacedParen, render as render_paren_string
-from .permutation import Permutation
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .armleg import PartialArmLegDiagram
+    from .paren import GBsp, SpacedParen
+    from .permutation import Permutation
 
 __all__ = ["armleg_ascii", "armleg_svg", "paren_ascii", "paren_svg"]
 
@@ -18,23 +26,29 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _diagram_parts(source: Permutation | PartialArmLegDiagram):
-    # returns (n, peak points, extra non-peak points)
-    if isinstance(source, Permutation):
-        diagram = peaks(source)
-        extra = [
-            (i, v)
-            for i, v in enumerate(source.word, start=1)
-            if v < source.n - i + 1
-        ]
-        return source.n, diagram.sorted_points(), extra
-    return source.n, source.sorted_points(), []
+def _cells(source: Permutation | PartialArmLegDiagram) -> tuple[int, ...]:
+    """The cells word of `source`: a permutation's word, or a diagram's rows."""
+    from .permutation import Permutation
+
+    return source.word if isinstance(source, Permutation) else source._rows
+
+
+def _diagram(cells) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """n and the points (col, row) of the cells word, in column order: the peaks,
+    at or above the antidiagonal, then the hollow extras below it."""
+    n = len(cells)
+    points = [(c, r) for c, r in enumerate(cells, start=1) if r]
+    return n, [p for p in points if p[1] >= n - p[0] + 1], [p for p in points if p[1] <= n - p[0]]
 
 
 def armleg_ascii(source: Permutation | PartialArmLegDiagram) -> str:
     """Character grid, row n at the top: 'o' entries, '-' arms, '|' legs,
     '+' where an arm crosses a leg, '\\' on empty antidiagonal cells."""
-    n, peak_pts, extra = _diagram_parts(source)
+    return _armleg_ascii(_cells(source))
+
+
+def _armleg_ascii(cells) -> str:
+    n, peak_pts, extra = _diagram(cells)
     grid = [["." for _ in range(n)] for _ in range(n)]
 
     def put(c: int, r: int, ch: str) -> None:
@@ -50,9 +64,7 @@ def armleg_ascii(source: Permutation | PartialArmLegDiagram) -> str:
             put(x, r, "-")
         for y in range(n - c + 1, r):
             put(c, y, "|")
-    for c, r in peak_pts:
-        put(c, r, "o")
-    for c, r in extra:
+    for c, r in peak_pts + extra:
         put(c, r, "o")
     return "\n".join(" ".join(row) for row in grid)
 
@@ -63,7 +75,11 @@ def armleg_svg(source: Permutation | PartialArmLegDiagram, extend: bool = False)
     (1, n) is the upper-left cell.  `extend` stretches arms and legs slightly
     past the antidiagonal, as in hand-drawn figures.
     """
-    n, peak_pts, extra = _diagram_parts(source)
+    return _armleg_svg(_cells(source), extend)
+
+
+def _armleg_svg(cells, extend: bool = False) -> str:
+    n, peak_pts, extra = _diagram(cells)
     side = 2 * _MARGIN + max(n, 1) * _CELL
 
     def x(col: float) -> float:
@@ -113,35 +129,39 @@ def armleg_svg(source: Permutation | PartialArmLegDiagram, extend: bool = False)
     return "\n".join(parts)
 
 
-def _paren_lines(x: SpacedParen | GBsp) -> tuple[str, str]:
-    top = render_paren_string(x)
-    tokens = top.split()
-    labels = []
-    col = 0
-    cursor = 0
-    for i, token in enumerate(tokens, start=1):
-        slot_col = col + (1 if token.startswith("(") else 0)
-        label = str(i)
-        start = max(slot_col, cursor)
-        labels.append(" " * (start - cursor) + label)
-        cursor = start + len(label)
+def _labels(top: str) -> str:
+    """The row of space labels under the string form `top`: each starts under its
+    slot, or right after the label before it where that one runs on past the slot."""
+    labels = ""
+    col = 0  # where the token starts in `top`
+    for i, token in enumerate(top.split(), start=1):
+        labels += " " * (col + token.startswith("(") - len(labels)) + str(i)
         col += len(token) + 1
-    return top, "".join(labels)
+    return labels
 
 
 def paren_ascii(x: SpacedParen | GBsp) -> str:
     """Two rows: the paren string over the space labels.
 
+    >>> from lehmerpark.paren import SpacedParen
     >>> print(paren_ascii(SpacedParen(7, frozenset({1, 3, 5}), frozenset({5, 6, 7}))))
     (_ _ (_ _ (_) _) _)
      1 2  3 4  5  6  7
     """
-    top, labels = _paren_lines(x)
+    return _paren_ascii(str(x))  # str(x) is `paren.render(x)`, the string form
+
+
+def _paren_ascii(top: str) -> str:
+    labels = _labels(top)
     return f"{top}\n{labels}" if labels else top
 
 
 def paren_svg(x: SpacedParen | GBsp) -> str:
-    top, labels = _paren_lines(x)
+    return _paren_svg(str(x))
+
+
+def _paren_svg(top: str) -> str:
+    labels = _labels(top)
     char = 12
     width = 2 * _MARGIN + char * max(len(top), 1)
     height = 2 * _MARGIN + 3 * char

@@ -242,10 +242,15 @@ def test_catalan_matches_reference():
         catalan(-1)
 
 
-def test_catalan_matches_binomial_formula():
-    # the ratio recurrence divides by m + 2 at each step; a slip would carry into every later term
+def test_catalan_matches_a_dyck_path_count():
+    # Dyck paths counted one step at a time, sharing no code with the binomial formula:
+    # ways[h] is the number of paths of the current length ending at height h
+    ways = [1]
     for n in range(500):
-        assert catalan(n) == math.comb(2 * n, n) // (n + 1), f"n={n}"
+        assert catalan(n) == ways[0], f"n={n}"
+        for _ in range(2):
+            padded = [0, *ways, 0, 0]  # padded[h] is ways[h - 1]
+            ways = [padded[h] + padded[h + 2] for h in range(len(ways) + 1)]
 
 
 def test_theorem_registry():

@@ -224,6 +224,12 @@ def _loaded(*argv: str) -> tuple[int, set[str]]:
     ("enumerate", "partitions", "--n", "3"),
     ("enumerate", "bsp", "--n", "3"),
     ("enumerate", "gbsp", "--n", "3"),
+    ("render", "armleg", "3,4,1,5,2,6"),
+    ("render", "armleg", "--format", "svg", "--extend", '{"n":3,"points":[[1,3],[3,2]]}'),
+    ("render", "paren", "(_ (_ 2 1) (_) 1)"),
+    ("render", "paren", "--format", "svg", "(_ (_ _ _) (_) _)"),
+    ("render", "paren", '{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":1}}'),
+    ("render", "paren", "--format", "svg", '{"n":6,"F":[1,2,5],"L":[4,5,6]}'),
 ])
 def test_plain_verbs_load_no_object_module_and_no_dataclasses(argv):
     code, loaded = _loaded(*argv)
