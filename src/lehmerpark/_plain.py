@@ -8,7 +8,8 @@ The formats: words (permutations, preference tuples, inversion tables) are
 integer tuples; a partial arm-leg diagram is its rows by column, 0 marking an
 empty column; a parenthesization is (n, F, L) with F and L sets of spaces; g
 is a list aligned to the spaces, 0 on F; a partition is n and its blocks, each
-ascending and the blocks by minimum.
+ascending and the blocks by minimum.  Every sweep returns, and every writer
+takes, its format in this one form.
 """
 
 from __future__ import annotations
@@ -352,15 +353,11 @@ def _g_json(obj) -> dict:
     return dict(zip(spaces, g.values()))
 
 
-def _g_pairs(F, g) -> list[tuple[int, int]]:
-    """The (space, value) pairs of g aligned to spaces, in space order, F left out."""
-    return [(i, v) for i, v in enumerate(g, start=1) if i not in F]
-
-
-def _gbsp_obj(n: int, F, L, g_pairs) -> dict:
-    """The JSON object of the g-parenthesization (n, F, L, g), g as (space, value)
-    pairs in space order; unchecked, so the CLI can write a plain sweep's output."""
-    return {"n": n, "F": sorted(F), "L": sorted(L), "g": {str(i): v for i, v in g_pairs}}
+def _gbsp_obj(n: int, F, L, g) -> dict:
+    """The JSON object of the g-parenthesization (n, F, L, g), g aligned to spaces;
+    unchecked, so the CLI can write a plain sweep's output."""
+    g = {str(i): v for i, v in enumerate(g, start=1) if i not in F}
+    return {"n": n, "F": sorted(F), "L": sorted(L), "g": g}
 
 
 _TOKEN_RE = re.compile(r"^(\()?(_|\d+)(\))?$")
@@ -633,20 +630,21 @@ def _to_gbsp(n: int, blocks) -> tuple[frozenset[int], frozenset[int], list[int]]
 
 
 def _from_gbsp(n: int, F, L, g) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the blocks in one sweep over 1..n.
+    """Rebuild the blocks in one sweep over 1..n, each listed when it opens, so by minimum.
 
     Space i opens a block when i is in F and otherwise joins the g(i)-th open
     block (by minimum); the block closes after i when i is in L.
     """
+    blocks: list[list[int]] = []
     opened: list[list[int]] = []  # open blocks, by minimum
-    closed: list[list[int]] = []
     for i in range(1, n + 1):
         if i in F:
+            k = len(opened)
             opened.append([i])
-            k = len(opened) - 1
+            blocks.append(opened[k])
         else:
             k = g[i - 1] - 1
             opened[k].append(i)
         if i in L:
-            closed.append(opened.pop(k))
-    return tuple(tuple(blk) for blk in closed)
+            del opened[k]
+    return tuple(map(tuple, blocks))

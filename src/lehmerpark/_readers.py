@@ -135,13 +135,11 @@ def _parked(prefs: tuple[int, ...]) -> dict:
 
 
 def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
-    F, L, g = _plain._phi_prime(word)
-    return _plain._gbsp_obj(len(word), F, L, _plain._g_pairs(F, g))
+    return _plain._gbsp_obj(len(word), *_plain._phi_prime(word))
 
 
 def _outcome_to_partition(word: tuple[int, ...]) -> dict:
-    # _from_gbsp lists the blocks in closing order; sorting puts them by minimum
-    return _plain._blocks_obj(sorted(_plain._from_gbsp(len(word), *_plain._phi_prime(word))))
+    return _plain._blocks_obj(_plain._from_gbsp(len(word), *_plain._phi_prime(word)))
 
 
 def _partition_to_outcome(partition) -> dict:

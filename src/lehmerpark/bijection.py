@@ -62,8 +62,7 @@ def phi(p: OutcomePermutation) -> SpacedParen:
 def phi_prime(p: OutcomePermutation) -> GBsp:
     """phi plus g: the entry of row n - i + 1, for each space i outside F, sits in
     the g(i)-th column still empty."""
-    F, L, g = _plain._phi_prime(p.word)
-    return _gbsp(SpacedParen(p.n, F, L), g)
+    return _gbsp(p.n, *_plain._phi_prime(p.word))
 
 
 def phi_prime_inv(gb: GBsp) -> OutcomePermutation:

@@ -150,7 +150,7 @@ def _gbsp_objs(n: int) -> Iterator[dict]:
     """The JSON objects of enumerate_gbsps(n), written from the plain fillings."""
     from . import _plain
 
-    return (_plain._gbsp_obj(n, F, L, _plain._g_pairs(F, g)) for F, L, g in _plain._gbsps(n))
+    return (_plain._gbsp_obj(n, F, L, g) for F, L, g in _plain._gbsps(n))
 
 
 # each enumerate kind lists the JSON objects of its family at n, one line each

@@ -20,9 +20,10 @@ instead of stopping with an error.
 The diagram checks (`lemma3.4`, `lemma3.5`, `lemma3.7`) read the arm-leg
 diagram of `_plain` too: its rows by column, 0 marking an empty column.  This
 module imports only `_plain` and `counting` at the top, and `VerificationReport`
-is a `NamedTuple`, so no check loads an object module or `dataclasses`.  Only
-`all_lehmer`, `outcome_set`, `enumerate_partitions` and the discrepancy
-messages that print a `SpacedParen` or `GBsp` import theirs when they run.
+is a `NamedTuple`, so no check loads an object module or `dataclasses`, and
+a discrepancy names a parenthesization in the string grammar (`_paren_text`).
+Only `all_lehmer`, `outcome_set` and `enumerate_partitions` import their
+object modules, when they run.
 """
 
 from __future__ import annotations
@@ -164,15 +165,6 @@ def _refusal(check, *args) -> str:
     return ""
 
 
-def _repr(n: int, F, L, g=None) -> str:
-    # the repr of the checked SpacedParen, or of the GBsp with g aligned to spaces,
-    # built for a discrepancy message only
-    from .paren import SpacedParen, _gbsp
-
-    sp = SpacedParen(n, F, L)
-    return repr(sp if g is None else _gbsp(sp, g))
-
-
 def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # the check of SetPartition, on plain blocks that must already be in its sorted form
     if _plain._check_blocks(n, blocks) != blocks:
@@ -248,7 +240,8 @@ def _check_lemma3_7(n: int):
         count += 1
         constructed = _plain._pairs_diagram(n, _plain._matching_pairs(n, F, L))
         if _plain._arms_legs(constructed) != (F, L):
-            bad.append(f"n={n}: pairs of {_repr(n, F, L)} do not reproduce its arms and legs")
+            text = _plain._paren_text(n, F, L)
+            bad.append(f"n={n}: pairs of {text} do not reproduce its arms and legs")
         candidates = groups.get((F, L), [])
         if len(candidates) != 1 or candidates[0] != constructed:
             bad.append(
@@ -265,9 +258,10 @@ def _check_lemma3_9(n: int):
     def problems(F_L_g):
         word = _plain._phi_prime_inv(n, *F_L_g)
         if refusal := _refusal(_plain._as_outcome, word):
-            yield f"n={n}: filling of {_repr(n, *F_L_g)} maps to outcome {word}: {refusal}"
+            text = _plain._paren_text(n, *F_L_g)
+            yield f"n={n}: filling of {text} maps to outcome {word}: {refusal}"
         elif _plain._phi_prime(word)[:2] != F_L_g[:2]:
-            yield f"n={n}: filling of {_repr(n, *F_L_g)} has wrong arms/legs"
+            yield f"n={n}: filling of {_plain._paren_text(n, *F_L_g)} has wrong arms/legs"
 
     return _each(_plain._gbsps(n), problems)
 
@@ -331,9 +325,10 @@ def _round_trips(n: int, objects, check, there, back, label):
         count += 1
         y = back(F, L, g)
         if refusal := _refusal(check, y):
-            bad.append(f"n={n}: {_repr(n, F, L, g)} maps to {label(y)}: {refusal}")
+            bad.append(f"n={n}: {_plain._paren_text(n, F, L, g)} maps to {label(y)}: {refusal}")
         elif there(y) != (F, L, g):
-            bad.append(f"n={n}: {_repr(n, F, L, g)} does not survive the reverse round trip")
+            text = _plain._paren_text(n, F, L, g)
+            bad.append(f"n={n}: {text} does not survive the reverse round trip")
     return count, bad
 
 
@@ -360,17 +355,17 @@ def _check_lemma3_13(n: int):
 
 
 def _check_lemma3_14(n: int):
-    """The partition that g = 1 gives must pass `_as_partition` once sorted."""
+    """The partition that g = 1 gives must pass `_as_partition`."""
 
     def problems(F_L):
         F, L = F_L
         g = [0 if i in F else 1 for i in range(1, n + 1)]
-        blocks = tuple(sorted(_plain._from_gbsp(n, F, L, g)))
+        blocks = _plain._from_gbsp(n, F, L, g)
         if refusal := _refusal(_as_partition, n, blocks):
-            sp = _repr(n, F, L)
+            sp = _plain._paren_text(n, F, L)
             yield f"n={n}: {sp} maps to partition {_plain._blocks_text(blocks)}: {refusal}"
         elif _plain._min_max(blocks) != F_L:
-            yield f"n={n}: no partition found with minima/maxima {_repr(n, F, L)}"
+            yield f"n={n}: no partition found with minima/maxima {_plain._paren_text(n, F, L)}"
 
     return _each(_plain._bsps(n), problems)
 
@@ -385,12 +380,12 @@ def _check_cor3_15(n: int):
 
 def _check_lemma3_16(n: int):
     """The generated partitions pass `_as_partition`, and so does each partition
-    that `_from_gbsp` rebuilds in the reverse trip, once sorted; in the forward
-    trip, the rebuilt partition's equality with the generated one stands in for it."""
+    that `_from_gbsp` rebuilds in the reverse trip; in the forward trip, the
+    rebuilt partition's equality with the generated one stands in for it."""
     return _round_trips(
         n, _plain._partition_blocks(n), lambda b: _as_partition(n, b),
         lambda b: _plain._to_gbsp(n, b),
-        lambda F, L, g: tuple(sorted(_plain._from_gbsp(n, F, L, g))),
+        lambda F, L, g: _plain._from_gbsp(n, F, L, g),
         lambda b: f"partition {_plain._blocks_text(b)}",
     )
 
@@ -414,7 +409,7 @@ def _check_thm3_1(n: int):
             bad.append(f"n={n}: outcome {w}: {refusal}")
             continue
         try:  # a g past the depth sends a leg past its open items, as in `_round_trips`
-            b = tuple(sorted(_plain._from_gbsp(n, *_plain._phi_prime(w))))
+            b = _plain._from_gbsp(n, *_plain._phi_prime(w))
             if refusal := _refusal(_as_partition, n, b):
                 text = _plain._blocks_text(b)
                 bad.append(f"n={n}: outcome {w} maps to partition {text}: {refusal}")

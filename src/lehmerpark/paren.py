@@ -141,7 +141,7 @@ class GBsp:
     """A balanced parenthesization plus g(i) in [1, depth(i)] for each space i not in F.
 
     `g` may be given as a mapping or as (space, value) pairs; it is stored as a
-    sorted tuple of pairs so instances hash.
+    sorted tuple of pairs so instances hash, and `_g` keeps it aligned to spaces.
     """
 
     base: SpacedParen
@@ -150,7 +150,8 @@ class GBsp:
     def __post_init__(self) -> None:
         base = self.base
         g = _plain._check_g(base.n, base.F, base.L, self.g)
-        object.__setattr__(self, "g", tuple(_plain._g_pairs(base.F, g)))
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "g", _g_pairs(base.F, g))
 
     @property
     def n(self) -> int:
@@ -161,7 +162,7 @@ class GBsp:
         return dict(self.g)
 
     def to_json_obj(self) -> dict:
-        return _plain._gbsp_obj(self.n, self.base.F, self.base.L, self.g)
+        return _plain._gbsp_obj(*_gbsp_values(self))
 
     @classmethod
     def from_json_obj(cls, obj) -> "GBsp":
@@ -171,17 +172,19 @@ class GBsp:
         return render(self)
 
 
-def _gbsp(base: SpacedParen, g) -> GBsp:
-    """The checked GBsp of `base` and g, g aligned to spaces and 0 on F."""
-    return GBsp(base, _plain._g_pairs(base.F, g))
+def _g_pairs(F, g) -> tuple[tuple[int, int], ...]:
+    """The (space, value) pairs of g aligned to spaces, in space order, F left out."""
+    return tuple((i, v) for i, v in enumerate(g, start=1) if i not in F)
+
+
+def _gbsp(n: int, F, L, g) -> GBsp:
+    """The checked GBsp of the plain (n, F, L, g), g aligned to spaces and 0 on F."""
+    return GBsp(SpacedParen(n, F, L), _g_pairs(F, g))
 
 
 def _gbsp_values(gb: GBsp) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
     """(n, F, L, g) of `gb`, g aligned to spaces and 0 on F."""
-    g = [0] * gb.n
-    for i, v in gb.g:
-        g[i - 1] = v
-    return gb.n, gb.base.F, gb.base.L, g
+    return gb.n, gb.base.F, gb.base.L, gb._g
 
 
 def render(x: SpacedParen | GBsp) -> str:
@@ -216,4 +219,8 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
-    return (_gbsp(SpacedParen(n, F, L), g) for F, L, g in _plain._gbsps(n))
+    F_seen = base = None
+    for F, L, g in _plain._gbsps(n):
+        if F is not F_seen:  # `_gbsps` yields one F object per base: check each base once
+            F_seen, base = F, SpacedParen(n, F, L)
+        yield GBsp(base, _g_pairs(F, g))

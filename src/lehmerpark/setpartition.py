@@ -74,8 +74,7 @@ def min_max(b: SetPartition) -> SpacedParen:
 def to_gbsp(b: SetPartition) -> GBsp:
     """min_max(b) plus, for each non-minimum element i, the rank of its block
     among the blocks open at i (min < i <= max), ordered by minimum."""
-    F, L, g = _plain._to_gbsp(b.n, b.blocks)
-    return _gbsp(SpacedParen(b.n, F, L), g)
+    return _gbsp(b.n, *_plain._to_gbsp(b.n, b.blocks))
 
 
 def from_gbsp(gb: GBsp) -> SetPartition:

@@ -10,6 +10,7 @@ import pytest
 
 import lehmerpark
 import lehmerpark._plain as _plain
+import lehmerpark._readers as _readers
 import lehmerpark.cli as cli
 import lehmerpark.counting as counting
 import lehmerpark.enumeration as enumeration
@@ -299,14 +300,15 @@ def test_verify_reports_a_leg_output_that_is_no_outcome(capsys, monkeypatch):
     captured = run_cli(capsys, "verify", "lemma3.9", "--n-max", "6", expect=2)
     report = json.loads(captured.out)
     line = (
-        "n=6: filling of GBsp(base=SpacedParen(n=6, F=frozenset({1}), L=frozenset({6})), "
-        "g=((2, 1), (3, 1), (4, 1), (5, 1), (6, 1))) maps to outcome (3, 4, 1, 6, 2, 5): "
+        "n=6: filling of (_ 1 1 1 1 1) maps to outcome (3, 4, 1, 6, 2, 5): "
         "3,4,1,6,2,5 contains the arm-leg pattern and is not the outcome of any staircase "
         "preference tuple"
     )
     assert report["pass"] is False and report["discrepancies"][0] == line
     assert len(report["discrepancies"]) == 203  # one per filling at n = 6
     assert f"  {line}\n" in captured.err
+    # the parenthesization is named in the string grammar that from-gbsp reads
+    assert _readers._paren_parts("(_ 1 1 1 1 1)") == (6, {1}, {6}, [0, 1, 1, 1, 1, 1])
 
 
 def test_verify_reports_a_leg_whose_blocks_miss_an_element(capsys, monkeypatch):
@@ -314,18 +316,16 @@ def test_verify_reports_a_leg_whose_blocks_miss_an_element(capsys, monkeypatch):
 
     def leg(n, F, L, g):
         blocks = real(n, F, L, g)
-        return blocks[1:] if n == 3 else blocks  # drops the block that closes first
+        return blocks[1:] if n == 3 else blocks  # drops the block of 1
 
     monkeypatch.setattr(_plain, "_from_gbsp", leg)
     captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "3", expect=2)
     report = json.loads(captured.out)
-    line = (
-        "n=3: GBsp(base=SpacedParen(n=3, F=frozenset({1, 3}), L=frozenset({2, 3})), "
-        "g=((2, 1),)) maps to partition {3}: blocks do not partition [1, 3]"
-    )
+    line = "n=3: (_ 1) (_) maps to partition {3}: blocks do not partition [1, 3]"
     assert report["pass"] is False and report["objects_checked"] == 18
     assert line in report["discrepancies"]
     assert f"  {line}\n" in captured.err
+    assert _readers._paren_parts("(_ 1) (_)") == (3, {1, 3}, {2, 3}, [0, 1, 0])
 
 
 def test_verify_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch):
@@ -341,9 +341,9 @@ def test_verify_reports_a_leg_whose_g_is_out_of_range(capsys, monkeypatch):
     captured = run_cli(capsys, "verify", "lemma3.16", "--n-max", "2", expect=2)
     assert json.loads(captured.out)["discrepancies"] == [
         "n=2: partition {1,2} does not survive the round trip",
-        "n=2: GBsp(base=SpacedParen(n=2, F=frozenset({1}), L=frozenset({2})), g=((2, 1),)) "
-        "does not survive the reverse round trip",
+        "n=2: (_ 1) does not survive the reverse round trip",
     ]
+    assert _readers._paren_parts("(_ 1)") == (2, {1}, {2}, [0, 1])
 
 
 @pytest.mark.parametrize("stub, lines", [

@@ -199,10 +199,10 @@ _LOADED_QUIETLY = (
 )
 
 
-def _loaded(*argv: str) -> tuple[int, set[str]]:
-    """The exit code of one CLI run in a fresh interpreter, and the package modules
-    (by their short names) and `dataclasses` it loaded."""
-    code, names = _probe(_LOADED_QUIETLY, *argv).splitlines()[-1].split(" ", 1)
+def _loaded(*argv: str, patch: str = "") -> tuple[int, set[str]]:
+    """The exit code of one CLI run in a fresh interpreter, after the statements
+    `patch`, and the package modules (by their short names) and `dataclasses` it loaded."""
+    code, names = _probe(f"{patch}\n{_LOADED_QUIETLY}", *argv).splitlines()[-1].split(" ", 1)
     return int(code), {name.rpartition(".")[2] for name in ast.literal_eval(names)}
 
 
@@ -245,6 +245,32 @@ def test_only_the_diagram_checks_load_object_modules(theorem):
     # no check loads an object module or dataclasses, the diagram checks included, and each passes
     code, loaded = _loaded("verify", theorem, "--n-max", "4")
     assert code == 0 and loaded & (OBJECT_MODULES | {"dataclasses"}) == set()
+
+
+# for each check, statements that swap a plain leg for a wrong one, so that it finds discrepancies
+_PLAIN = "import lehmerpark._plain as p\n"
+_DROP_A_BLOCK = _PLAIN + "leg = p._from_gbsp; p._from_gbsp = lambda *a: leg(*a)[1:]"
+_WRONG_LEG = {
+    "lemma3.7": _PLAIN + "p._matching_pairs = lambda n, F, L: ()",
+    "lemma3.9": _PLAIN + "p._phi_prime_inv = lambda n, F, L, g: (3, 4, 1, 6, 2, 5)",
+    "lemma3.14": _DROP_A_BLOCK,
+    "lemma3.16": _DROP_A_BLOCK,
+}
+
+
+@pytest.mark.parametrize("theorem", _WRONG_LEG)
+def test_a_failing_check_loads_no_object_module_or_dataclasses(theorem):
+    # a discrepancy names a parenthesization in the string grammar, with no object
+    code, loaded = _loaded("verify", theorem, "--n-max", "4", patch=_WRONG_LEG[theorem])
+    assert code == 2 and loaded & (OBJECT_MODULES | {"dataclasses"}) == set()
+
+
+def test_the_benchmark_tracer_imports_against_the_source():
+    # perfbench/tracing.py imports public names and `cli._dump` from src/; renaming
+    # one fails here, not at the next traced benchmark run
+    perfbench = SOURCE.parents[1] / "perfbench"
+    code = "import sys; sys.dont_write_bytecode = True; sys.path.insert(0, sys.argv[1])\n"
+    assert _probe(code + "import tracing", str(perfbench)) == ""
 
 
 def test_the_name_render_is_the_function_until_the_render_module_is_imported():

@@ -282,7 +282,7 @@ def test_enumerate_gbsps_matches_per_base_product():
             yield GBsp(sp, dict(zip(free, choice)))
 
     for n in range(6):
-        direct = {gb for sp in enumerate_bsps(n) for gb in per_base(sp)}
+        direct = [gb for sp in enumerate_bsps(n) for gb in per_base(sp)]
         listed = list(enumerate_gbsps(n))
         assert len(listed) == len(set(listed))
-        assert set(listed) == direct
+        assert listed == direct  # by base, then g in lexicographic order

@@ -1,5 +1,6 @@
 import pytest
 
+from lehmerpark import _plain
 from lehmerpark.enumeration import bell, enumerate_partitions
 from lehmerpark.paren import GBsp, SpacedParen, depths, is_balanced
 from lehmerpark.setpartition import SetPartition, from_gbsp, min_max, to_gbsp
@@ -97,6 +98,15 @@ def test_partition_gbsp_roundtrip_exhaustive():
     for n in range(7):
         for gb in enumerate_gbsps(n):
             assert to_gbsp(from_gbsp(gb)) == gb, gb
+
+
+def test_from_gbsp_lists_the_blocks_in_sorted_form():
+    # the plain leg yields SetPartition's form itself (each block ascending, the
+    # blocks by minimum), so no caller sorts its output
+    for n in range(9):
+        for F, L, g in _plain._gbsps(n):
+            blocks = _plain._from_gbsp(n, F, L, g)
+            assert blocks == _plain._check_blocks(n, blocks), (n, F, L, g)
 
 
 def test_g_value_ranks_open_blocks():
