@@ -248,17 +248,23 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
         cls(*args)
 
 
-def _run_limited(argv, limit):
-    """One CLI run in a subprocess whose address space is capped at `limit` bytes."""
+def _limited(argv, limit):
+    """The arguments and options of one CLI subprocess whose address space is capped
+    at `limit` bytes."""
     resource = pytest.importorskip("resource")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "lehmerpark.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+    return [sys.executable, "-m", "lehmerpark.cli", *argv], dict(
+        text=True, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def _run_limited(argv, limit):
+    """One CLI run in a subprocess whose address space is capped at `limit` bytes."""
+    args, options = _limited(argv, limit)
+    return subprocess.run(args, capture_output=True, timeout=60, **options)
 
 
 @pytest.mark.parametrize("argv", [
@@ -287,6 +293,27 @@ def test_running_out_of_memory_is_one_json_error(kind):
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", '{"error":"out of memory","code":"memory"}\n'
     )
+
+
+def test_enumerate_outcomes_streams_its_first_line_at_once():
+    # the walk holds O(n) state: no line waits for the 190,899,322 outcomes of [14]
+    args, options = _limited(("enumerate", "outcomes", "--n", "14"), 256 << 20)
+    with subprocess.Popen(args, stdout=subprocess.PIPE, **options) as child:
+        try:
+            first = child.stdout.readline()
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+    assert first == '{"outcome":[%s]}\n' % ",".join(map(str, range(1, 15)))
+
+
+def test_count_bell_past_the_ceiling_is_refused_at_once():
+    # n = 4000 is past the Bell triangle's time ceiling; it refuses instead of running for seconds
+    done = _run_limited(("count", "bell", "--n", "4000"), 256 << 20)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    error = json.loads(line)
+    assert error["code"] == "domain" and "n <= " in error["error"]
 
 
 def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():

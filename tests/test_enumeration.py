@@ -68,7 +68,19 @@ def test_all_lehmer_counts_and_bounds():
 
 def test_outcome_words_match_naive_parking():
     for n in range(9):
-        assert outcome_words(n) == naive_outcome_words(n), f"n={n}"
+        parked = naive_outcome_words(n)
+        assert outcome_words(n) == parked, f"n={n}"
+        # the walk yields them in lexicographic order
+        assert list(iter_outcome_words(n)) == sorted(parked), f"n={n}"
+
+
+def test_outcomes_are_closed_under_inversion():
+    # parking lands the cars on spots by the rule the walk gives the columns values
+    for n in range(9):
+        inverses = {
+            tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1])) for w in iter_outcome_words(n)
+        }
+        assert inverses == naive_outcome_words(n), f"n={n}"
 
 
 def test_outcome_counts_are_bell_numbers():
