@@ -356,7 +356,7 @@ def _g_json(obj) -> dict:
 def _gbsp_obj(n: int, F, L, g) -> dict:
     """The JSON object of the g-parenthesization (n, F, L, g), g aligned to spaces;
     unchecked, so the CLI can write a plain sweep's output."""
-    g = {str(i): v for i, v in enumerate(g, start=1) if i not in F}
+    g = {str(i): v for i, v in enumerate(g, start=1) if v}  # g is 0 exactly on F
     return {"n": n, "F": sorted(F), "L": sorted(L), "g": g}
 
 

@@ -2,10 +2,12 @@
 
 This is the one place a CLI line is read: the JSON decode and one reader per
 format turn it into checked plain values, and each table entry pairs a reader
-with the map that writes the line's JSON object.  Of the package it imports
-only `_plain` and `errors`, and so no object module; `cli` imports it inside
-the handlers of the verbs that read lines (transform, check, fiber, render),
-once per process.
+with the map that writes the line's JSON object.  A JSON g-parenthesization
+line first goes through a one-pass acceptance test on the decoded value; what
+it does not accept goes to the format's checks in `_plain`, which alone word
+the errors.  Of the package it imports only `_plain` and `errors`, and so no
+object module; `cli` imports it inside the handlers of the verbs that read lines
+(transform, check, fiber, render), once per process.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 
 from . import _plain
-from .errors import ParseError, _distinct, _json_array
+from .errors import _INT, ParseError, _distinct, _json_array
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -71,8 +73,17 @@ def _read_word(text: str) -> tuple[int, ...]:
 
 
 def _read_outcome(text: str) -> tuple[int, ...]:
-    """The word of an outcome, checked as a permutation and certified."""
-    return _plain._certify(_read_word(text))
+    """The word of an outcome, checked as a permutation and certified.  A JSON object
+    with a list under "outcome" and no "perm" goes straight to the check that
+    `_json_word` would call on it, any other object through `_json_word`."""
+    text = text.strip()
+    if not text.startswith("{"):
+        return _plain._certify(_read_word(text))
+    obj = _loads(text)
+    word = obj.get("outcome")
+    if "perm" in obj or type(word) is not list:
+        return _plain._certify(_json_word(obj, _plain._check_word, "outcome", "perm"))
+    return _plain._certify(_plain._check_word(word))
 
 
 def _read_prefs(text: str) -> tuple[int, ...]:
@@ -87,20 +98,56 @@ def _paren_parts(text: str) -> tuple[int, frozenset[int], frozenset[int], list[i
     holds a digit."""
     text = text.strip()
     if text.startswith("{"):
-        obj = _loads(text)
-        n, F, L = _plain._check_paren(*_plain._paren_json(obj))
-        g = _plain._g_json(obj) if "g" in obj else None
-    else:
-        n, F, L, g = _plain._parse(text)
-        n, F, L = _plain._check_paren(n, F, L)
-        g = g or None
-    return n, F, L, None if g is None else _plain._check_g(n, F, L, g)
+        return _json_paren_parts(_loads(text))
+    n, F, L, g = _plain._parse(text)
+    n, F, L = _plain._check_paren(n, F, L)
+    return n, F, L, _plain._check_g(n, F, L, g) if g else None
+
+
+def _json_paren_parts(obj) -> tuple[int, frozenset[int], frozenset[int], list[int] | None]:
+    """`_paren_parts` of a decoded JSON object."""
+    n, F, L = _plain._check_paren(*_plain._paren_json(obj))
+    return n, F, L, _plain._check_g(n, F, L, _plain._g_json(obj)) if "g" in obj else None
+
+
+def _gbsp_in_one_pass(obj) -> tuple[int, frozenset[int], frozenset[int], list[int]] | None:
+    """(n, F, L, g) of a g-parenthesization's decoded JSON object, or None: one
+    depth sweep reads g[str(i)] at each space i outside F.  It accepts exactly the
+    objects that `_check_paren` and `_check_g` accept whose g keys are written as
+    str(i); on None, they word the error.  With n - |g| = |F| and a key found for
+    every space outside F, F lies in [1, n]; with the depth back at 0, so does L."""
+    n, F, L, g = obj.get("n"), obj.get("F"), obj.get("L"), obj.get("g", {})
+    if (type(n) is not int or type(F) is not list or type(L) is not list or type(g) is not dict
+            or not set(map(type, F)) <= _INT or not set(map(type, L)) <= _INT):
+        return None
+    Fs, Ls = frozenset(F), frozenset(L)
+    if not len(Fs) == len(F) == len(Ls) == len(L) == n - len(g):  # so a huge n fails here
+        return None
+    values = [0] * n
+    d = 0
+    for i in range(1, n + 1):
+        if i in Fs:
+            d += 1
+        else:
+            v = g.get(str(i))
+            if type(v) is not int or not 1 <= v <= d:
+                return None
+            values[i - 1] = v
+        if i in Ls:
+            d -= 1
+    return (n, Fs, Ls, values) if d == 0 else None
 
 
 def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
     """(n, F, L, g) of a g-parenthesization, checked as `GBsp` checks it; no g is
-    valid only when F = [n]."""
-    n, F, L, g = _paren_parts(text)
+    valid only when F = [n].  A JSON object goes through `_gbsp_in_one_pass`
+    first, and only what it does not accept through the checks, which word the error."""
+    text = text.strip()
+    if text.startswith("{"):
+        obj = _loads(text)
+        n, F, L, g = _gbsp_in_one_pass(obj) or _json_paren_parts(obj)
+    else:
+        n, F, L, g = _paren_parts(text)
     return n, F, L, _plain._check_g(n, F, L, {}) if g is None else g
 
 

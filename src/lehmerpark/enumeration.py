@@ -517,6 +517,34 @@ def _check_stirling(n: int):
     return objects, bad
 
 
+def _follows_the_peak_rule(w: tuple[int, ...]) -> bool:
+    """Each peak w_l >= n - l + 1 is the least value >= n - l + 1 not among
+    w_1..w_{l-1}: the rule of `counting`'s docstring, by a plain scan."""
+    n = len(w)
+    used = set()
+    for l, v in enumerate(w, start=1):
+        least = n - l + 1
+        if v >= least:
+            while least in used:
+                least += 1
+            if v != least:
+                return False
+        used.add(v)
+    return True
+
+
+def _check_peaks(n: int):
+    """`_certify` accepts a permutation of [n] iff it follows the peak rule."""
+
+    def problems(w):
+        certified = not _refusal(_plain._certify, w)
+        if certified != _follows_the_peak_rule(w):
+            verdict = "accepts" if certified else "refuses"
+            yield f"n={n}: the certifier {verdict} {w}, which the peak rule does not"
+
+    return _each(itertools.permutations(range(1, n + 1)), problems)
+
+
 _Check = Callable[[int], tuple[int, list[str]]]
 
 # theorem id -> (what the check verifies, default n_max, check)
@@ -538,6 +566,8 @@ _CHECKS: dict[str, tuple[str, int, _Check]] = {
     "lemma4.2": ("parking is injective on weakly decreasing staircase tuples", 8, _check_lemma4_2),
     "thm4.3": ("weakly decreasing outcomes = 132-avoiders, Catalan-many", 8, _check_thm4_3),
     "stirling": ("outcomes with k peaks number S(n, k)", 14, _check_stirling),
+    "peaks": ("outcomes are the permutations whose peaks take the least free value", 8,
+              _check_peaks),
 }
 
 

@@ -470,7 +470,7 @@ def test_usage_errors_exit_1(capsys):
 _THEOREMS = (
     "'lemma1.2', 'thm2.4', 'lemma3.4', 'lemma3.5', 'lemma3.7', 'lemma3.9', 'cor3.10', "
     "'lemma3.12', 'lemma3.13', 'lemma3.14', 'cor3.15', 'lemma3.16', 'thm3.1', 'prop4.1', "
-    "'lemma4.2', 'thm4.3', 'stirling'"
+    "'lemma4.2', 'thm4.3', 'stirling', 'peaks'"
 )
 
 

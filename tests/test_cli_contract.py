@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lehmerpark
 import lehmerpark._readers as readers
@@ -164,6 +164,54 @@ gbsp_objects = st.fixed_dictionaries(
 ).map(json.dumps)
 
 
+def _enumerated(kind):
+    """The decoded lines of `enumerate KIND --n N` for every N <= 5."""
+    return [json.loads(line) for n in range(6)
+            for line in call(["enumerate", kind, "--n", str(n)])[1].splitlines()]
+
+
+def _gbsp_edits(obj):
+    """A valid g-parenthesization object and small edits of it, most of them invalid."""
+    n, F, L, g = obj["n"], obj["F"], obj["L"], obj["g"]
+    yield obj
+    yield {"x": 0, **dict(reversed(obj.items()))}  # keys in another order, one extra key
+    yield {**obj, "n": float(n)}
+    for name in ("F", "L"):
+        yield {**obj, name: obj[name] + obj[name][:1]}  # a repeated entry
+        yield {**obj, name: [True if x == 1 else x for x in obj[name]]}
+        for k in range(len(obj[name])):  # an entry past n
+            yield {**obj, name: obj[name][:k] + [n + 1] + obj[name][k + 1:]}
+    for key, v in g.items():
+        depth = sum(f <= int(key) for f in F) - sum(l < int(key) for l in L)
+        for bad in (0, depth + 1, True, float(v)):
+            yield {**obj, "g": {**g, key: bad}}
+        yield {**obj, "g": {"0" + k if k == key else k: w for k, w in g.items()}}
+        yield {**obj, "g": {k: w for k, w in g.items() if k != key}}  # a missing entry
+
+
+def _outcome_edits(obj):
+    """A valid outcome object and small edits of it, most of them invalid."""
+    w = obj["outcome"]
+    yield obj
+    yield {"x": 0, "outcome": w}
+    yield {"outcome": w, "perm": w}
+    yield {"perm": w, "outcome": w}
+    yield {"outcome": w[::-1]}  # a permutation, not always an outcome
+    yield {"outcome": w + w[:1]}  # a repeated entry
+    yield {"outcome": w + [len(w) + 2]}  # a gap
+    yield {"outcome": [True if v == 1 else v for v in w]}
+    yield {"outcome": list(map(float, w))}
+
+
+# the lines that enumerate writes, valid and as small edits: they reach the
+# boundary of what the readers accept, which values and gbsp_objects rarely do
+enumerated_edits = st.one_of(
+    st.sampled_from([json.dumps(edit, separators=(",", ":"))
+                     for obj in _enumerated(kind) for edit in edits(obj)])
+    for kind, edits in (("gbsp", _gbsp_edits), ("outcomes", _outcome_edits))
+)
+
+
 def _checked(verb, text):
     """The library path of a roundtrip verb: the value read into checked objects
     by the library's own readers and constructors, then mapped by the library."""
@@ -194,7 +242,12 @@ def _line(obj):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(verb=st.sampled_from(["from-gbsp", "from-partition", "to-gbsp", "to-partition"]),
-       value=values | gbsp_objects)
+       value=values | gbsp_objects | enumerated_edits)
+# edits at the edge of the one-pass reader, drawn every run: g at 0 and at depth + 1,
+# and an L entry past n, which only the depth left open at the end betrays
+@example(verb="from-gbsp", value='{"n":3,"F":[1],"L":[3],"g":{"2":0,"3":1}}')
+@example(verb="from-gbsp", value='{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":2}}')
+@example(verb="from-gbsp", value='{"n":3,"F":[1,3],"L":[2,4],"g":{"2":1}}')
 def test_roundtrip_verbs_equal_the_checked_library_path(verb, value):
     try:
         expected = (0, _line(_checked(verb, value)), "")
@@ -310,6 +363,15 @@ def test_enumerate_outcomes_streams_its_first_line_at_once():
 def test_count_bell_past_the_ceiling_is_refused_at_once():
     # n = 4000 is past the Bell triangle's time ceiling; it refuses instead of running for seconds
     done = _run_limited(("count", "bell", "--n", "4000"), 256 << 20)
+    assert (done.returncode, done.stdout) == (1, "")
+    (line,) = done.stderr.splitlines()
+    error = json.loads(line)
+    assert error["code"] == "domain" and "n <= " in error["error"]
+
+
+def test_count_catalan_past_the_ceiling_is_refused_at_once():
+    # n = 400,000 is past the binomial formula's time ceiling; it refuses instead of running for seconds
+    done = _run_limited(("count", "catalan", "--n", "400000"), 256 << 20)
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()
     error = json.loads(line)

@@ -37,7 +37,7 @@ OBJECTS_AT_5 = {
     "lemma1.2": 154, "thm2.4": 152, "lemma3.4": 76, "lemma3.5": 76, "lemma3.7": 343,
     "lemma3.9": 76, "cor3.10": 141, "lemma3.12": 152, "lemma3.13": 76, "lemma3.14": 65,
     "cor3.15": 141, "lemma3.16": 152, "thm3.1": 152, "prop4.1": 65, "lemma4.2": 65,
-    "thm4.3": 130, "stirling": 97,
+    "thm4.3": 130, "stirling": 97, "peaks": 154,
 }
 
 
@@ -163,6 +163,26 @@ def test_stirling_check_reports_a_wrong_peak_row(monkeypatch):
     )
 
 
+def test_peaks_check_reports_a_wrong_certifier(monkeypatch):
+    # (1, 3, 2) is the one permutation of [3] whose peak 3 skips the free value 2
+    monkeypatch.setattr(_plain, "_certify", lambda w: w)
+    report = verify("peaks", 3)
+    assert report.objects_checked == 10
+    assert report.discrepancies == (
+        "n=3: the certifier accepts (1, 3, 2), which the peak rule does not",
+    )
+
+    def refuse(w):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(_plain, "_certify", refuse)
+    assert verify("peaks", 3).discrepancies == tuple(
+        f"n={n}: the certifier refuses {w}, which the peak rule does not"
+        for n in range(4)
+        for w in sorted(naive_outcome_words(n))
+    )
+
+
 def test_every_claimed_outcome_parks():
     for n in range(7):
         for w in outcome_words(n):
@@ -285,6 +305,7 @@ def test_theorem_registry():
         "lemma4.2",
         "thm4.3",
         "stirling",
+        "peaks",
     ]
     for theorem in ids:
         assert describe_theorem(theorem)
@@ -315,6 +336,7 @@ def test_theorem_registry():
     "lemma4.2",
     "thm4.3",
     "stirling",
+    "peaks",
 ])
 def test_every_check_passes_at_its_default_n_max(theorem):
     report = verify(theorem)

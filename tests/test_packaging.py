@@ -239,7 +239,7 @@ def test_plain_verbs_load_no_object_module_and_no_dataclasses(argv):
 @pytest.mark.parametrize("theorem", [
     "lemma1.2", "thm2.4", "lemma3.4", "lemma3.5", "lemma3.7", "lemma3.9", "cor3.10", "lemma3.12",
     "lemma3.13", "lemma3.14", "cor3.15", "lemma3.16", "thm3.1", "prop4.1", "lemma4.2", "thm4.3",
-    "stirling",
+    "stirling", "peaks",
 ])
 def test_only_the_diagram_checks_load_object_modules(theorem):
     # no check loads an object module or dataclasses, the diagram checks included, and each passes

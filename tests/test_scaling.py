@@ -4,7 +4,7 @@ A linear probe in `park` or a list scan in a rank leg is quadratic, and takes
 from seconds to about a minute at this size, so these budgets fail on it.
 The CLI's roundtrip verbs, which read, check and map plain values without the
 library maps, are held to it on the nested partition and its outcome, reading
-and writing included.
+and writing included, the outcome in its text form and as a JSON object.
 `depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
 parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
 """
@@ -79,16 +79,25 @@ def run_cli(argv):
     return json.loads(out.getvalue()), seconds
 
 
-def test_cli_to_partition_of_the_nested_outcome(nested):
+# the comma text form, and the JSON object that the one-pass outcome reader takes
+OUTCOME_FORMS = {
+    "text": lambda word: ",".join(map(str, word)),
+    "json": lambda word: json.dumps({"outcome": list(word)}),
+}
+
+
+@pytest.mark.parametrize("form", OUTCOME_FORMS)
+def test_cli_to_partition_of_the_nested_outcome(nested, form):
     b, oc = nested
-    got, seconds = run_cli(["to-partition", ",".join(map(str, oc.word))])
+    got, seconds = run_cli(["to-partition", OUTCOME_FORMS[form](oc.word)])
     assert got == {"blocks": [list(blk) for blk in b.blocks]}
     assert seconds < BUDGET_S, f"to-partition took {seconds:.2f} s at n = {N}"
 
 
-def test_cli_to_gbsp_of_the_nested_outcome(nested):
+@pytest.mark.parametrize("form", OUTCOME_FORMS)
+def test_cli_to_gbsp_of_the_nested_outcome(nested, form):
     _, oc = nested
-    got, seconds = run_cli(["to-gbsp", ",".join(map(str, oc.word))])
+    got, seconds = run_cli(["to-gbsp", OUTCOME_FORMS[form](oc.word)])
     assert got == phi_prime(oc).to_json_obj()
     assert seconds < BUDGET_S, f"to-gbsp took {seconds:.2f} s at n = {N}"
 
