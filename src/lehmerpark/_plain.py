@@ -21,7 +21,9 @@ from bisect import bisect, bisect_left, insort
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 
-from .errors import _INT, GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array
+from .errors import (
+    _INT, GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array, _not_a_sequence,
+)
 
 
 def _parse_int_word(text: str) -> tuple[int, ...]:
@@ -478,7 +480,10 @@ def _check_blocks(n, blocks) -> tuple[tuple[int, ...], ...]:
     by minimum), or the first error found.  The constructor and the CLI both
     read through it.  One type test covers every member; `_ints` runs per block
     only to word the first error."""
-    blocks = list(blocks)
+    try:
+        blocks = list(blocks)
+    except TypeError:
+        raise _not_a_sequence(blocks, "blocks") from None
     try:
         blocks = list(map(tuple, blocks))
         members = list(itertools.chain.from_iterable(blocks))

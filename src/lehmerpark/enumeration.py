@@ -8,6 +8,12 @@ are imported back here; `counting`'s docstring says how each works.
 n_max)` runs one named exhaustive check for every n from 0 to n_max and
 reports counterexamples verbatim.
 
+Every check has one shape, `check(n, drawn)`: a generator that yields its
+discrepancy lines and walks each family it examines through `drawn(...)`, which
+counts what it draws.  A family sized without a walk, such as a set of
+pattern avoiders, adds its size with `drawn.count += k`.  `verify` makes one
+counter per run and reports its total as `objects_checked`.
+
 The checks that walk the n!-, Bell- and Catalan-sized families run on the
 plain values their generators yield (staircase tuples, outcome words, blocks,
 (F, L), (F, L, g)) through the plain sweeps of `_plain`, and build no checked
@@ -31,7 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import _plain
 from .counting import (
@@ -114,7 +120,20 @@ class VerificationReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# per-theorem checks; each returns (objects examined, discrepancy strings)
+# per-theorem checks, each check(n, drawn) -> discrepancy lines
+
+
+class _Drawn:
+    """The objects a run's checks examine: `drawn(family)` yields each member
+    and counts it, and `drawn.count += k` adds a family sized without a walk."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __call__(self, objects: Iterable) -> Iterator:
+        for x in objects:
+            self.count += 1
+            yield x
 
 
 def _avoiders(n: int, contains: Callable[[tuple[int, ...]], bool]) -> set[tuple[int, ...]]:
@@ -145,16 +164,6 @@ def _weakly_decreasing_staircase(n: int) -> Iterator[tuple[int, ...]]:
             a[j] = min(a[j - 1], n - j)
 
 
-def _each(objects, problems):
-    # (objects examined, discrepancy strings); problems(x) yields what is wrong with x
-    count = 0
-    bad: list[str] = []
-    for x in objects:
-        count += 1
-        bad.extend(problems(x))
-    return count, bad
-
-
 def _refusal(check, *args) -> str:
     """The message of the ValueError with which `check` refuses `args`, or "".
     A check records a refused object as a discrepancy and goes on."""
@@ -172,50 +181,50 @@ def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
     return blocks
 
 
-def _check_lemma1_2(n: int):
+def _check_lemma1_2(n: int, drawn: _Drawn) -> Iterator[str]:
     """Both tests run on the plain staircase tuples.  A tuple that parks must
     park to a permutation (`_check_word`, the check of `park`'s outcome)."""
-
-    def problems(prefs):
+    for prefs in drawn(_staircase(n)):
         if not _plain._is_parking_function(prefs):
             yield f"n={n}: staircase tuple {prefs} fails the sorted-prefix test"
-            return
+            continue
         word = _plain._park(prefs)
         if isinstance(word, int):
             yield f"n={n}: parking failed for staircase tuple {prefs}"
         elif refusal := _refusal(_plain._check_word, word):
             yield f"n={n}: staircase tuple {prefs} parks to {word}: {refusal}"
 
-    return _each(_staircase(n), problems)
 
-
-def _check_thm2_4(n: int):
-    parked = outcome_words(n)
+def _check_thm2_4(n: int, drawn: _Drawn) -> Iterator[str]:
+    """Every staircase tuple is parked; the set of its outcomes is compared with
+    the avoiders.  A car that fails is a discrepancy and its tuple parks to nothing."""
+    parked = set()
+    for prefs in _staircase(n):
+        word = _plain._park(prefs)
+        if isinstance(word, int):
+            yield f"n={n}: parking failed for staircase tuple {prefs}"
+        else:
+            parked.add(word)
     avoiders = _avoiders(n, _plain._contains_armleg)
-    bad = [
-        f"n={n}: {w} parked but contains the arm-leg pattern" for w in sorted(parked - avoiders)
-    ] + [
-        f"n={n}: {w} avoids the arm-leg pattern but never parks" for w in sorted(avoiders - parked)
-    ]
-    return len(parked) + len(avoiders), bad
+    drawn.count += len(parked) + len(avoiders)
+    for w in sorted(parked - avoiders):
+        yield f"n={n}: {w} parked but contains the arm-leg pattern"
+    for w in sorted(avoiders - parked):
+        yield f"n={n}: {w} avoids the arm-leg pattern but never parks"
 
 
-def _check_lemma3_4(n: int):
-    def problems(w):
+def _check_lemma3_4(n: int, drawn: _Drawn) -> Iterator[str]:
+    for w in drawn(iter_outcome_words(n)):
         rows = _plain._peaks(w)
         for i, d in enumerate(_plain._iter_depths(n, *_plain._arms_legs(rows)), start=1):
             if (box := _plain._depth_at(rows, i)) != d:
                 yield f"n={n}: outcome {w} space {i}: box count {box} != paren depth {d}"
 
-    return _each(iter_outcome_words(n), problems)
 
-
-def _check_lemma3_5(n: int):
-    def problems(w):
+def _check_lemma3_5(n: int, drawn: _Drawn) -> Iterator[str]:
+    for w in drawn(iter_outcome_words(n)):
         if not _plain._is_balanced(n, *_plain._arms_legs(_plain._peaks(w))):
             yield f"n={n}: arms/legs of outcome {w} are not balanced"
-
-    return _each(iter_outcome_words(n), problems)
 
 
 def _all_partial_diagrams(n: int) -> Iterator[tuple[int, ...]]:
@@ -228,34 +237,28 @@ def _all_partial_diagrams(n: int) -> Iterator[tuple[int, ...]]:
     yield from layer
 
 
-def _check_lemma3_7(n: int):
+def _check_lemma3_7(n: int, drawn: _Drawn) -> Iterator[str]:
     groups: dict[tuple[frozenset[int], frozenset[int]], list[tuple[int, ...]]] = {}
-    count = 0
-    for rows in _all_partial_diagrams(n):
-        count += 1
+    for rows in drawn(_all_partial_diagrams(n)):
         if _plain._armleg_crossing(rows) is None:
             groups.setdefault(_plain._arms_legs(rows), []).append(rows)
-    bad = []
-    for F, L in _plain._bsps(n):
-        count += 1
+    for F, L in drawn(_plain._bsps(n)):
         constructed = _plain._pairs_diagram(n, _plain._matching_pairs(n, F, L))
         if _plain._arms_legs(constructed) != (F, L):
             text = _plain._paren_text(n, F, L)
-            bad.append(f"n={n}: pairs of {text} do not reproduce its arms and legs")
+            yield f"n={n}: pairs of {text} do not reproduce its arms and legs"
         candidates = groups.get((F, L), [])
         if len(candidates) != 1 or candidates[0] != constructed:
-            bad.append(
+            yield (
                 f"n={n}: {len(candidates)} non-intersecting diagrams share arms/legs "
                 f"F={sorted(F)}, L={sorted(L)}; expected exactly the constructed one"
             )
-    return count, bad
 
 
-def _check_lemma3_9(n: int):
+def _check_lemma3_9(n: int, drawn: _Drawn) -> Iterator[str]:
     """Each filling's word must pass `_as_outcome`; its arms and legs are the F
     and L of `_phi_prime`, which reads the peaks as `phi` does."""
-
-    def problems(F_L_g):
+    for F_L_g in drawn(_plain._gbsps(n)):
         word = _plain._phi_prime_inv(n, *F_L_g)
         if refusal := _refusal(_plain._as_outcome, word):
             text = _plain._paren_text(n, *F_L_g)
@@ -263,144 +266,128 @@ def _check_lemma3_9(n: int):
         elif _plain._phi_prime(word)[:2] != F_L_g[:2]:
             yield f"n={n}: filling of {_plain._paren_text(n, *F_L_g)} has wrong arms/legs"
 
-    return _each(_plain._gbsps(n), problems)
 
-
-def _fiber_census(n: int, objects, check, image, label, noun: str, fiber_of: str = ""):
-    # compare how many objects land on each balanced parenthesization (F, L) with
-    # fiber_size; an object that `check` refuses is a discrepancy and lands nowhere
+def _fiber_census(n: int, drawn: _Drawn, objects, check, image, label, noun: str,
+                  fiber_of: str = "") -> Iterator[str]:
+    """Yields where the count of drawn objects that land on each balanced
+    parenthesization (F, L) differs from fiber_size; an object that `check`
+    refuses is a discrepancy and lands nowhere."""
     counts: Counter = Counter()
-    bad = []
-    examined = 0
-    for x in objects:
-        examined += 1
+    for x in drawn(objects):
         if refusal := _refusal(check, x):
-            bad.append(f"n={n}: {label(x)}: {refusal}")
+            yield f"n={n}: {label(x)}: {refusal}"
         else:
             counts[image(x)] += 1
-    for F, L in _plain._bsps(n):
-        examined += 1
+    for F, L in drawn(_plain._bsps(n)):
         got = counts.pop((F, L), 0)
         expected = _plain._fiber_size(n, F, L)
         if got != expected:
-            bad.append(
+            yield (
                 f"n={n}: {fiber_of}F={sorted(F)}, L={sorted(L)} has "
                 f"{got} {noun}, product of depths gives {expected}"
             )
     for F, L in counts:
-        bad.append(f"n={n}: {noun} map to unlisted parenthesization F={sorted(F)}, L={sorted(L)}")
-    return examined, bad
+        yield f"n={n}: {noun} map to unlisted parenthesization F={sorted(F)}, L={sorted(L)}"
 
 
-def _check_cor3_10(n: int):
+def _check_cor3_10(n: int, drawn: _Drawn) -> Iterator[str]:
     """The walked words pass `_as_outcome`; `_phi_prime`'s F and L are their arms and legs."""
     return _fiber_census(
-        n, iter_outcome_words(n), _plain._as_outcome, lambda w: _plain._phi_prime(w)[:2],
+        n, drawn, iter_outcome_words(n), _plain._as_outcome, lambda w: _plain._phi_prime(w)[:2],
         lambda w: f"outcome {w}", "outcomes", fiber_of="fiber of ",
     )
 
 
-def _round_trips(n: int, objects, check, there, back, label):
-    """back(there(x)) == x for every object x, then there(back(F, L, g)) == (F, L, g)
-    for every g-parenthesization.  `check` raises ValueError on an invalid object:
-    it tests each x, and each back(F, L, g) before `there` reads it.  In the
-    forward trip, equality with the checked x stands in for the check of back's
-    output, and the reverse trip over every valid (F, L, g) pins what `there`
-    yields, so the middle value is not checked as a `GBsp`: a g out of range
-    that sends `back` past its list of open items fails the trip instead."""
-    bad = []
-    count = 0
-    for x in objects:
-        count += 1
+def _round_trips(n: int, drawn: _Drawn, objects, check, there, back, label) -> Iterator[str]:
+    """Yields where back(there(x)) != x for a drawn object x, then where
+    there(back(F, L, g)) != (F, L, g) for a drawn g-parenthesization.  `check`
+    raises ValueError on an invalid object: it tests each x, and each back(F, L, g)
+    before `there` reads it.  In the forward trip, equality with the checked x
+    stands in for the check of back's output, and the reverse trip over every
+    valid (F, L, g) pins what `there` yields, so the middle value is not checked
+    as a `GBsp`: a g out of range that sends `back` past its list of open items
+    fails the trip instead."""
+    for x in drawn(objects):
         if refusal := _refusal(check, x):
-            bad.append(f"n={n}: {label(x)}: {refusal}")
+            yield f"n={n}: {label(x)}: {refusal}"
             continue
         try:
             survives = back(*there(x)) == x
         except LookupError:
             survives = False
         if not survives:
-            bad.append(f"n={n}: {label(x)} does not survive the round trip")
-    for F, L, g in _plain._gbsps(n):
-        count += 1
+            yield f"n={n}: {label(x)} does not survive the round trip"
+    for F, L, g in drawn(_plain._gbsps(n)):
         y = back(F, L, g)
         if refusal := _refusal(check, y):
-            bad.append(f"n={n}: {_plain._paren_text(n, F, L, g)} maps to {label(y)}: {refusal}")
+            yield f"n={n}: {_plain._paren_text(n, F, L, g)} maps to {label(y)}: {refusal}"
         elif there(y) != (F, L, g):
             text = _plain._paren_text(n, F, L, g)
-            bad.append(f"n={n}: {text} does not survive the reverse round trip")
-    return count, bad
+            yield f"n={n}: {text} does not survive the reverse round trip"
 
 
-def _check_lemma3_12(n: int):
+def _check_lemma3_12(n: int, drawn: _Drawn) -> Iterator[str]:
     """The walked words pass `_as_outcome`, and so does each word that
     `_phi_prime_inv` rebuilds in the reverse trip; in the forward trip, the
     rebuilt word's equality with the walked word stands in for that check."""
     return _round_trips(
-        n, iter_outcome_words(n), _plain._as_outcome, _plain._phi_prime,
+        n, drawn, iter_outcome_words(n), _plain._as_outcome, _plain._phi_prime,
         lambda F, L, g: _plain._phi_prime_inv(n, F, L, g), lambda w: f"outcome {w}",
     )
 
 
-def _check_lemma3_13(n: int):
+def _check_lemma3_13(n: int, drawn: _Drawn) -> Iterator[str]:
     """Each generated partition passes `_as_partition`; balance runs on plain (n, F, L)."""
-
-    def problems(blocks):
+    for blocks in drawn(_plain._partition_blocks(n)):
         if refusal := _refusal(_as_partition, n, blocks):
             yield f"n={n}: partition {_plain._blocks_text(blocks)}: {refusal}"
         elif not _plain._is_balanced(n, *_plain._min_max(blocks)):
             yield f"n={n}: minima/maxima of {_plain._blocks_text(blocks)} are not balanced"
 
-    return _each(_plain._partition_blocks(n), problems)
 
-
-def _check_lemma3_14(n: int):
+def _check_lemma3_14(n: int, drawn: _Drawn) -> Iterator[str]:
     """The partition that g = 1 gives must pass `_as_partition`."""
-
-    def problems(F_L):
-        F, L = F_L
+    for F, L in drawn(_plain._bsps(n)):
         g = [0 if i in F else 1 for i in range(1, n + 1)]
         blocks = _plain._from_gbsp(n, F, L, g)
         if refusal := _refusal(_as_partition, n, blocks):
             sp = _plain._paren_text(n, F, L)
             yield f"n={n}: {sp} maps to partition {_plain._blocks_text(blocks)}: {refusal}"
-        elif _plain._min_max(blocks) != F_L:
+        elif _plain._min_max(blocks) != (F, L):
             yield f"n={n}: no partition found with minima/maxima {_plain._paren_text(n, F, L)}"
 
-    return _each(_plain._bsps(n), problems)
 
-
-def _check_cor3_15(n: int):
+def _check_cor3_15(n: int, drawn: _Drawn) -> Iterator[str]:
     """The generated partitions pass `_as_partition`."""
     return _fiber_census(
-        n, _plain._partition_blocks(n), lambda b: _as_partition(n, b), _plain._min_max,
+        n, drawn, _plain._partition_blocks(n), lambda b: _as_partition(n, b), _plain._min_max,
         lambda b: f"partition {_plain._blocks_text(b)}", "partitions",
     )
 
 
-def _check_lemma3_16(n: int):
+def _check_lemma3_16(n: int, drawn: _Drawn) -> Iterator[str]:
     """The generated partitions pass `_as_partition`, and so does each partition
     that `_from_gbsp` rebuilds in the reverse trip; in the forward trip, the
     rebuilt partition's equality with the generated one stands in for it."""
     return _round_trips(
-        n, _plain._partition_blocks(n), lambda b: _as_partition(n, b),
+        n, drawn, _plain._partition_blocks(n), lambda b: _as_partition(n, b),
         lambda b: _plain._to_gbsp(n, b),
         lambda F, L, g: _plain._from_gbsp(n, F, L, g),
         lambda b: f"partition {_plain._blocks_text(b)}",
     )
 
 
-def _check_thm3_1(n: int):
+def _check_thm3_1(n: int, drawn: _Drawn) -> Iterator[str]:
     """The walked words pass `_as_outcome` and their partitions `_as_partition`.
     The composed round trip's equality with the walked word stands in for the
     checks of the outcome it rebuilds, and the image's equality with the
-    generated partitions for theirs."""
-    partitions = list(_plain._partition_blocks(n))
+    generated partitions for theirs.  The count lines come first."""
+    partitions = list(drawn(_plain._partition_blocks(n)))
     expected = bell(n)
     bad = []
     image = set()
     walked = 0  # the words the walk yields, counted with any repeat
-    for w in iter_outcome_words(n):
+    for w in drawn(iter_outcome_words(n)):
         walked += 1
         if refusal := _refusal(_plain._as_outcome, w):
             bad.append(f"n={n}: outcome {w}: {refusal}")
@@ -419,9 +406,10 @@ def _check_thm3_1(n: int):
             bad.append(f"n={n}: outcome {w} does not survive the composed round trip")
     if image != set(partitions):
         bad.append(f"n={n}: outcome-to-partition image misses some partitions")
-    sizes = ((walked, "outcomes"), (len(partitions), "partitions"))
-    counts = [f"n={n}: {k} {noun}, Bell number is {expected}" for k, noun in sizes if k != expected]
-    return walked + len(partitions), counts + bad
+    for k, noun in ((walked, "outcomes"), (len(partitions), "partitions")):
+        if k != expected:
+            yield f"n={n}: {k} {noun}, Bell number is {expected}"
+    yield from bad
 
 
 def _park_problem(n: int, prefs: tuple[int, ...], word) -> str:
@@ -435,21 +423,18 @@ def _park_problem(n: int, prefs: tuple[int, ...], word) -> str:
     return ""
 
 
-def _check_prop4_1(n: int):
-    def problems(prefs):
+def _check_prop4_1(n: int, drawn: _Drawn) -> Iterator[str]:
+    for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
             yield problem
         elif _plain._contains_132(word):
             yield f"n={n}: outcome of {prefs} contains the pattern 132"
 
-    return _each(_weakly_decreasing_staircase(n), problems)
 
-
-def _check_lemma4_2(n: int):
+def _check_lemma4_2(n: int, drawn: _Drawn) -> Iterator[str]:
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def problems(prefs):
+    for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
             yield problem
@@ -458,20 +443,17 @@ def _check_lemma4_2(n: int):
         else:
             outcomes[word] = prefs
 
-    return _each(_weakly_decreasing_staircase(n), problems)
 
-
-def _check_thm4_3(n: int):
+def _check_thm4_3(n: int, drawn: _Drawn) -> Iterator[str]:
     """The generated tuples are checked against the parking-function filter over
     all weakly decreasing tuples, which shares no code with the generator."""
-    wd = list(_weakly_decreasing_staircase(n))
-    bad = []
+    wd = list(drawn(_weakly_decreasing_staircase(n)))
     expected = catalan(n)
     if len(wd) != expected:
-        bad.append(f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}")
+        yield f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}"
     wd_parking = {prefs for prefs in _weakly_decreasing(n) if _plain._is_parking_function(prefs)}
     if set(wd) != wd_parking:
-        bad.append(
+        yield (
             f"n={n}: weakly decreasing staircase tuples differ from weakly "
             "decreasing parking functions"
         )
@@ -479,18 +461,18 @@ def _check_thm4_3(n: int):
     for prefs in wd:
         word = _plain._park(prefs)
         if problem := _park_problem(n, prefs, word):
-            bad.append(problem)
+            yield problem
         else:
             words.append(word)
     image = set(words)
     if len(image) != len(words):
-        bad.append(f"n={n}: parking is not injective on weakly decreasing tuples")
+        yield f"n={n}: parking is not injective on weakly decreasing tuples"
     avoiders = _avoiders(n, _plain._contains_132)
+    drawn.count += len(avoiders)
     for w in sorted(image - avoiders):
-        bad.append(f"n={n}: weakly decreasing outcome {w} contains 132")
+        yield f"n={n}: weakly decreasing outcome {w} contains 132"
     for w in sorted(avoiders - image):
-        bad.append(f"n={n}: 132-avoider {w} is not a weakly decreasing outcome")
-    return len(wd) + len(avoiders), bad
+        yield f"n={n}: 132-avoider {w} is not a weakly decreasing outcome"
 
 
 def _row_mismatches(n: int, row: list[int], expected: list[int], source: str) -> list[str]:
@@ -501,20 +483,17 @@ def _row_mismatches(n: int, row: list[int], expected: list[int], source: str) ->
     ]
 
 
-def _check_stirling(n: int):
+def _check_stirling(n: int, drawn: _Drawn) -> Iterator[str]:
     row = outcome_peak_counts(n)
-    bad = []
+    drawn.count += len(row)
     if sum(row) != bell(n):
-        bad.append(f"n={n}: the occupied-spot count gives {sum(row)} outcomes, Bell is {bell(n)}")
-    bad += _row_mismatches(n, row, _stirling_row(n), "S(n, k) is")
-    objects = len(row)
+        yield f"n={n}: the occupied-spot count gives {sum(row)} outcomes, Bell is {bell(n)}"
+    yield from _row_mismatches(n, row, _stirling_row(n), "S(n, k) is")
     if n <= 9:  # the walk: column c is a peak iff w[c - 1] >= n - c + 1
         walked = [0] * (n + 1)
-        for w in iter_outcome_words(n):
+        for w in drawn(iter_outcome_words(n)):
             walked[sum(v >= n - c for c, v in enumerate(w))] += 1
-            objects += 1
-        bad += _row_mismatches(n, row, walked, "the walk finds")
-    return objects, bad
+        yield from _row_mismatches(n, row, walked, "the walk finds")
 
 
 def _follows_the_peak_rule(w: tuple[int, ...]) -> bool:
@@ -533,19 +512,16 @@ def _follows_the_peak_rule(w: tuple[int, ...]) -> bool:
     return True
 
 
-def _check_peaks(n: int):
+def _check_peaks(n: int, drawn: _Drawn) -> Iterator[str]:
     """`_certify` accepts a permutation of [n] iff it follows the peak rule."""
-
-    def problems(w):
+    for w in drawn(itertools.permutations(range(1, n + 1))):
         certified = not _refusal(_plain._certify, w)
         if certified != _follows_the_peak_rule(w):
             verdict = "accepts" if certified else "refuses"
             yield f"n={n}: the certifier {verdict} {w}, which the peak rule does not"
 
-    return _each(itertools.permutations(range(1, n + 1)), problems)
 
-
-_Check = Callable[[int], tuple[int, list[str]]]
+_Check = Callable[[int, _Drawn], Iterable[str]]
 
 # theorem id -> (what the check verifies, default n_max, check)
 _CHECKS: dict[str, tuple[str, int, _Check]] = {
@@ -601,16 +577,12 @@ def verify(theorem: str, n_max: int | None = None) -> VerificationReport:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     start = time.perf_counter()
-    objects = 0
-    discrepancies: list[str] = []
-    for n in range(n_max + 1):
-        count, bad = check(n)
-        objects += count
-        discrepancies.extend(bad)
+    drawn = _Drawn()
+    discrepancies = tuple(line for n in range(n_max + 1) for line in check(n, drawn))
     return VerificationReport(
         theorem=theorem,
         n_max=n_max,
-        objects_checked=objects,
-        discrepancies=tuple(discrepancies),
+        objects_checked=drawn.count,
+        discrepancies=discrepancies,
         seconds=time.perf_counter() - start,
     )

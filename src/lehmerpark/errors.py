@@ -45,25 +45,50 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _not_a_sequence(value, what: str) -> ParseError:
+    """The refusal of `value`, given as `what` but no sequence, such as 5 for a permutation."""
+    return ParseError(f"{what} must be a sequence, got {value!r}")
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple of integers; a bool, float or str entry is refused, not coerced."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise _not_a_sequence(values, what) from None
     if not set(map(type, values)) <= _INT:
         pos, bad = next((pos, v) for pos, v in enumerate(values, start=1) if type(v) is not int)
         raise ParseError(f"entry {pos} of {what} must be an integer, got {bad!r}", position=pos)
     return values
 
 
+def _is_int_pair(pair) -> bool:
+    """Whether `pair` unpacks into exactly two integers."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):  # no sequence, or not two entries
+        return False
+    return type(a) is int and type(b) is int
+
+
 def _int_pairs(values, what: str) -> tuple[tuple[int, int], ...]:
     """`values` as pairs of integers, such as points or (space, value) entries."""
-    pairs = tuple(map(tuple, values))
-    if set(map(len, pairs)) <= _PAIR and set(map(type, chain.from_iterable(pairs))) <= _INT:
-        return pairs
-    for pos, pair in enumerate(pairs, start=1):
-        if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
-            raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",
-                             position=pos)
-    return pairs
+    try:
+        pairs = tuple(map(tuple, values))
+    except TypeError:  # `values`, or one of its entries, is no sequence: read it again
+        try:
+            read_once = iter(values) is values
+        except TypeError:
+            raise _not_a_sequence(values, what) from None
+        if read_once:  # an iterator, already read past its bad entry
+            raise ParseError(f"{what} must be pairs of integers") from None
+        pairs = values
+    else:
+        if set(map(len, pairs)) <= _PAIR and set(map(type, chain.from_iterable(pairs))) <= _INT:
+            return pairs
+    pos, pair = next((pos, p) for pos, p in enumerate(pairs, start=1) if not _is_int_pair(p))
+    raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",
+                     position=pos)
 
 
 def _distinct(values, what: str) -> frozenset:

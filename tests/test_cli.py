@@ -280,7 +280,7 @@ def test_verify_discrepancy_exits_2(capsys, monkeypatch):
     monkeypatch.setitem(
         enumeration._CHECKS,
         "lemma3.4",
-        ("planted failure", 3, lambda n: (1, [f"bad at n={n}"] if n == 2 else [])),
+        ("planted failure", 3, lambda n, drawn: [f"bad at n={n}"] if n == 2 else []),
     )
     captured = run_cli(capsys, "verify", "lemma3.4", expect=2)
     report = json.loads(captured.out)

@@ -301,6 +301,29 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
         cls(*args)
 
 
+@pytest.mark.parametrize("cls, args, message", [
+    (Permutation, (5,), "a permutation must be a sequence, got 5"),
+    (PrefTuple, (5,), "a preference tuple must be a sequence, got 5"),
+    (SpacedParen, (3, 5, [1]), "F must be a sequence, got 5"),
+    (SetPartition, (2, 5), "blocks must be a sequence, got 5"),
+    (SetPartition, (2, (1, 2)), "a block must be a sequence, got 1"),
+    (SetPartition, (2, [(1,), 2]), "a block must be a sequence, got 2"),
+    (MatchedPairs, ([1],), "entry 1 of pairs must be a pair of integers, got 1"),
+    (PartialArmLegDiagram, (2, [1]), "entry 1 of points must be a pair of integers, got 1"),
+    (GBsp, (SpacedParen(2, [1], [2]), [3]), "entry 1 of g must be a pair of integers, got 3"),
+    (MatchedPairs, (iter([(1, 2), 5]),), "pairs must be pairs of integers"),
+], ids=[
+    "perm", "prefs", "paren-F", "partition", "partition-flat", "partition-block", "pairs",
+    "armleg", "gbsp", "pairs-iterator",
+])
+def test_constructors_refuse_a_value_that_is_no_sequence(cls, args, message):
+    # worded like every other refusal, not the bare TypeError of tuple(5); an iterator
+    # already read past its bad entry cannot name it
+    with pytest.raises(ParseError) as err:
+        cls(*args)
+    assert str(err.value) == message
+
+
 def _limited(argv, limit):
     """The arguments and options of one CLI subprocess whose address space is capped
     at `limit` bytes."""

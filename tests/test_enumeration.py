@@ -39,6 +39,13 @@ OBJECTS_AT_5 = {
     "cor3.15": 141, "lemma3.16": 152, "thm3.1": 152, "prop4.1": 65, "lemma4.2": 65,
     "thm4.3": 130, "stirling": 97, "peaks": 154,
 }
+# objects_checked of every check at its default n_max, as the verify benchmark sums them
+OBJECTS_AT_DEFAULT = {
+    "lemma1.2": 46234, "thm2.4": 2312, "lemma3.4": 1156, "lemma3.5": 1156, "lemma3.7": 343,
+    "lemma3.9": 1156, "cor3.10": 1782, "lemma3.12": 2312, "lemma3.13": 26443, "lemma3.14": 626,
+    "cor3.15": 1782, "lemma3.16": 10592, "thm3.1": 10592, "prop4.1": 2056, "lemma4.2": 2056,
+    "thm4.3": 4112, "stirling": 26563, "peaks": 46234,
+}
 
 
 def naive_outcome_words(n):
@@ -343,7 +350,7 @@ def test_every_check_passes_at_its_default_n_max(theorem):
     assert report.passed, report.discrepancies[:3]
     assert report.theorem == theorem
     assert report.n_max == default_n_max(theorem)
-    assert report.objects_checked > 0
+    assert report.objects_checked == OBJECTS_AT_DEFAULT[theorem]
     assert report.seconds >= 0
     smaller = verify(theorem, n_max=4)
     assert smaller.passed and smaller.n_max == 4
@@ -369,6 +376,24 @@ def test_failing_check_reports_every_object(monkeypatch):
         "n=3: parking failed for staircase tuple (3, 1, 1)",
         "n=3: parking failed for staircase tuple (3, 2, 1)",
     )
+    failed = tuple(
+        f"n={n}: weakly decreasing staircase tuple {prefs} failed to park"
+        for n, prefs in ((0, ()), (1, (1,)), (2, (2, 1)), (2, (1, 1)))
+    )
+    for theorem in ("prop4.1", "lemma4.2"):
+        report = verify(theorem, 2)
+        assert (report.objects_checked, report.discrepancies) == (4, failed)
+    report = verify("thm4.3", 2)
+    assert report.objects_checked == 8
+    assert report.discrepancies == (
+        failed[0],
+        "n=0: 132-avoider () is not a weakly decreasing outcome",
+        failed[1],
+        "n=1: 132-avoider (1,) is not a weakly decreasing outcome",
+        *failed[2:],
+        "n=2: 132-avoider (1, 2) is not a weakly decreasing outcome",
+        "n=2: 132-avoider (2, 1) is not a weakly decreasing outcome",
+    )
 
     monkeypatch.setattr(_plain, "_is_balanced", lambda n, F, L: False)
     report = verify("lemma3.5", 3)
@@ -384,6 +409,15 @@ def test_failing_check_reports_every_object(monkeypatch):
         "n=3: arms/legs of outcome (3, 1, 2) are not balanced",
         "n=3: arms/legs of outcome (3, 2, 1) are not balanced",
     )
+    report = verify("lemma3.13", 3)
+    assert report.objects_checked == 9
+    assert report.discrepancies == tuple(
+        f"n={n}: minima/maxima of {blocks} are not balanced"
+        for n, blocks in (
+            (0, ""), (1, "{1}"), (2, "{1,2}"), (2, "{1}|{2}"), (3, "{1,2,3}"),
+            (3, "{1,2}|{3}"), (3, "{1,3}|{2}"), (3, "{1}|{2,3}"), (3, "{1}|{2}|{3}"),
+        )
+    )
 
 
 def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
@@ -396,6 +430,72 @@ def test_failing_check_reports_every_problem_of_an_object(monkeypatch):
         for n in range(4)
         for w in sorted(naive_outcome_words(n))
         for i in range(1, n + 1)
+    )
+
+
+def test_weakly_decreasing_checks_report_a_parking_that_is_not_injective(monkeypatch):
+    # every tuple parks to the identity: no 132 anywhere, but one outcome per n
+    monkeypatch.setattr(_plain, "_park", lambda prefs: tuple(range(1, len(prefs) + 1)))
+    report = verify("prop4.1", 3)
+    assert report.passed and report.objects_checked == 9
+    report = verify("lemma4.2", 3)
+    assert report.objects_checked == 9
+    assert report.discrepancies == (
+        "n=2: (2, 1) and (1, 1) park to the same outcome (1, 2)",
+        "n=3: (3, 2, 1) and (3, 1, 1) park to the same outcome (1, 2, 3)",
+        "n=3: (3, 2, 1) and (2, 2, 1) park to the same outcome (1, 2, 3)",
+        "n=3: (3, 2, 1) and (2, 1, 1) park to the same outcome (1, 2, 3)",
+        "n=3: (3, 2, 1) and (1, 1, 1) park to the same outcome (1, 2, 3)",
+    )
+    report = verify("thm4.3", 3)
+    assert report.objects_checked == 18
+    assert report.discrepancies == (
+        "n=2: parking is not injective on weakly decreasing tuples",
+        "n=2: 132-avoider (2, 1) is not a weakly decreasing outcome",
+        "n=3: parking is not injective on weakly decreasing tuples",
+        "n=3: 132-avoider (2, 1, 3) is not a weakly decreasing outcome",
+        "n=3: 132-avoider (2, 3, 1) is not a weakly decreasing outcome",
+        "n=3: 132-avoider (3, 1, 2) is not a weakly decreasing outcome",
+        "n=3: 132-avoider (3, 2, 1) is not a weakly decreasing outcome",
+    )
+
+
+def test_weakly_decreasing_checks_report_every_outcome_a_132_scan_flags(monkeypatch):
+    monkeypatch.setattr(_plain, "_contains_132", lambda w: True)
+    report = verify("prop4.1", 2)
+    assert report.objects_checked == 4
+    assert report.discrepancies == (
+        "n=0: outcome of () contains the pattern 132",
+        "n=1: outcome of (1,) contains the pattern 132",
+        "n=2: outcome of (2, 1) contains the pattern 132",
+        "n=2: outcome of (1, 1) contains the pattern 132",
+    )
+    report = verify("thm4.3", 2)
+    assert report.objects_checked == 4  # every avoider set is empty
+    assert report.discrepancies == (
+        "n=0: weakly decreasing outcome () contains 132",
+        "n=1: weakly decreasing outcome (1,) contains 132",
+        "n=2: weakly decreasing outcome (1, 2) contains 132",
+        "n=2: weakly decreasing outcome (2, 1) contains 132",
+    )
+
+
+def test_arm_leg_check_parks_every_staircase_tuple(monkeypatch):
+    # parking to the identity leaves every other avoider unparked
+    park = _plain._park
+    monkeypatch.setattr(_plain, "_park", lambda prefs: tuple(range(1, len(prefs) + 1)))
+    assert verify("thm2.4", 3).discrepancies == (
+        "n=2: (2, 1) avoids the arm-leg pattern but never parks",
+        "n=3: (2, 1, 3) avoids the arm-leg pattern but never parks",
+        "n=3: (2, 3, 1) avoids the arm-leg pattern but never parks",
+        "n=3: (3, 1, 2) avoids the arm-leg pattern but never parks",
+        "n=3: (3, 2, 1) avoids the arm-leg pattern but never parks",
+    )
+    # a car that fails is worded as in lemma1.2, and its tuple parks to nothing
+    monkeypatch.setattr(_plain, "_park", lambda prefs: 1 if prefs == (2, 1) else park(prefs))
+    assert verify("thm2.4", 2).discrepancies == (
+        "n=2: parking failed for staircase tuple (2, 1)",
+        "n=2: (2, 1) avoids the arm-leg pattern but never parks",
     )
 
 
