@@ -28,16 +28,21 @@ from .errors import (
 
 def _parse_int_word(text: str) -> tuple[int, ...]:
     """Comma-separated integers; a bare digit string is one value per digit (n <= 9).
-    Entries are range-checked by the constructor that takes them."""
+    Only the ASCII digits 0-9 are read.  Entries are range-checked by the
+    constructor that takes them."""
     text = text.strip().strip("()")
     if not text:
         return ()
-    if "," not in text and text.isdigit() and len(text) > 1:
+    # str.isdigit and int() also take other scripts' digits, such as "١" and "²":
+    # the line is tested once, and each token only when the line is not ASCII
+    ascii_line = text.isascii()
+    if "," not in text and ascii_line and text.isdigit() and len(text) > 1:
         return tuple(int(ch) for ch in text)
     values = []
     for pos, token in enumerate(text.split(","), start=1):
         token = token.strip()
-        if not token or not (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
+        if (not token or not (token.isdigit() or (token[0] == "-" and token[1:].isdigit()))
+                or not (ascii_line or token.isascii())):
             raise ParseError(f"bad integer {token!r} at position {pos}", position=pos)
         values.append(int(token))
     return tuple(values)
@@ -362,7 +367,7 @@ def _gbsp_obj(n: int, F, L, g) -> dict:
     return {"n": n, "F": sorted(F), "L": sorted(L), "g": g}
 
 
-_TOKEN_RE = re.compile(r"^(\()?(_|\d+)(\))?$")
+_TOKEN_RE = re.compile(r"(\()?(_|[0-9]+)(\))?")  # whole tokens, ASCII digits only
 
 
 def _parse(s: str) -> tuple[int, set[int], set[int], dict[int, int]]:
@@ -376,7 +381,7 @@ def _parse(s: str) -> tuple[int, set[int], set[int], dict[int, int]]:
     L: set[int] = set()
     g: dict[int, int] = {}
     for pos, token in enumerate(tokens, start=1):
-        m = _TOKEN_RE.match(token)
+        m = _TOKEN_RE.fullmatch(token)
         if not m:
             raise ParseError(f"bad token {token!r} at space {pos}", position=pos)
         opened, slot, closed = m.groups()

@@ -2,12 +2,13 @@
 
 This is the one place a CLI line is read: the JSON decode and one reader per
 format turn it into checked plain values, and each table entry pairs a reader
-with the map that writes the line's JSON object.  A JSON g-parenthesization
-line first goes through a one-pass acceptance test on the decoded value; what
-it does not accept goes to the format's checks in `_plain`, which alone word
-the errors.  Of the package it imports only `_plain` and `errors`, and so no
-object module; `cli` imports it inside the handlers of the verbs that read lines
-(transform, check, fiber, render), once per process.
+with the map that writes the line's JSON object.  `_paren_parts` reads every
+parenthesization line, for `from-gbsp`, `fiber` and `render paren`: a JSON
+object with a "g" key first goes through a one-pass acceptance test on the
+decoded value, and what it does not accept goes to the format's checks in
+`_plain`, which alone word the errors.  Of the package it imports only `_plain`
+and `errors`, and so no object module; `cli` imports it inside the handlers of
+the verbs that read lines (transform, check, fiber, render), once per process.
 """
 
 from __future__ import annotations
@@ -95,19 +96,20 @@ def _paren_parts(text: str) -> tuple[int, frozenset[int], frozenset[int], list[i
     """(n, F, L) of a parenthesization, checked as `SpacedParen` checks it, and its g,
     checked as `GBsp` checks it and aligned to spaces, or None when it has none: a JSON
     object has g exactly when it has a "g" key, the string grammar exactly when a slot
-    holds a digit."""
+    holds a digit.  A JSON object with a "g" key goes through `_gbsp_in_one_pass`
+    first, and only what it does not accept through the checks, which word the error."""
     text = text.strip()
     if text.startswith("{"):
-        return _json_paren_parts(_loads(text))
-    n, F, L, g = _plain._parse(text)
-    n, F, L = _plain._check_paren(n, F, L)
-    return n, F, L, _plain._check_g(n, F, L, g) if g else None
-
-
-def _json_paren_parts(obj) -> tuple[int, frozenset[int], frozenset[int], list[int] | None]:
-    """`_paren_parts` of a decoded JSON object."""
-    n, F, L = _plain._check_paren(*_plain._paren_json(obj))
-    return n, F, L, _plain._check_g(n, F, L, _plain._g_json(obj)) if "g" in obj else None
+        obj = _loads(text)
+        if "g" in obj and (parts := _gbsp_in_one_pass(obj)):
+            return parts
+        n, F, L = _plain._check_paren(*_plain._paren_json(obj))
+        g = _plain._g_json(obj) if "g" in obj else None
+    else:
+        n, F, L, g = _plain._parse(text)
+        n, F, L = _plain._check_paren(n, F, L)
+        g = g or None
+    return n, F, L, None if g is None else _plain._check_g(n, F, L, g)
 
 
 def _gbsp_in_one_pass(obj) -> tuple[int, frozenset[int], frozenset[int], list[int]] | None:
@@ -140,14 +142,8 @@ def _gbsp_in_one_pass(obj) -> tuple[int, frozenset[int], frozenset[int], list[in
 
 def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int]]:
     """(n, F, L, g) of a g-parenthesization, checked as `GBsp` checks it; no g is
-    valid only when F = [n].  A JSON object goes through `_gbsp_in_one_pass`
-    first, and only what it does not accept through the checks, which word the error."""
-    text = text.strip()
-    if text.startswith("{"):
-        obj = _loads(text)
-        n, F, L, g = _gbsp_in_one_pass(obj) or _json_paren_parts(obj)
-    else:
-        n, F, L, g = _paren_parts(text)
+    valid only when F = [n]."""
+    n, F, L, g = _paren_parts(text)
     return n, F, L, _plain._check_g(n, F, L, {}) if g is None else g
 
 

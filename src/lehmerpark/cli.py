@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -116,21 +117,46 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _int_text(value: int) -> str:
+    """The decimal text of `value`, past Python's default limit of 4,300 digits
+    (Bell(2000) has 4,350 and Catalan(8000) 4,811), which is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# a fiber size of more digits is refused: at the worst, the most factors of 2, as where
+# the depths outside F are all 2, the running product and its text take about a second
+_FIBER_MAX_DIGITS = 60_000
+
+
 def _cmd_fiber(args) -> int:
     from . import _plain
     from ._readers import _paren_parts
 
-    def objs(text: str) -> Iterable:
+    def lines(text: str) -> Iterable[str]:
         n, F, L, g = _paren_parts(text)
         if g is not None:  # `_paren_parts` checks a g as `GBsp` checks it; it is then refused
             raise LehmerError("expected a plain parenthesization without g")
         base = _plain._fiber_base(n, F, L)
-        if args.count:
-            return [_plain._fiber_size(*base)]  # an int's JSON text is its str
-        return ({"outcome": list(_plain._as_outcome(w))} for w in _plain._fiber_words(*base))
+        if not args.count:
+            words = _plain._fiber_words(*base)
+            return (_dump({"outcome": list(_plain._as_outcome(w))}) for w in words)
+        depths = (d for i, d in enumerate(_plain._iter_depths(*base), start=1) if i not in F)
+        digits = math.floor(sum(map(math.log10, depths))) + 1
+        if digits > _FIBER_MAX_DIGITS:  # known from the depths before their product is formed
+            raise LehmerError(
+                f"a fiber size of {digits} digits is past the ceiling of {_FIBER_MAX_DIGITS} "
+                "digits of `fiber --count`, whose product of depths and decimal text take "
+                "about a second there"
+            )
+        return [_int_text(_plain._fiber_size(*base))]
 
     for texts in _reads(args.value):
-        _write(map(_dump, chain.from_iterable(map(objs, texts))))
+        _write(chain.from_iterable(map(lines, texts)))
     return 0
 
 
@@ -176,14 +202,7 @@ _COUNTS = {
 
 
 def _cmd_count(args) -> int:
-    value = _COUNTS[args.kind](args.n)
-    limit = sys.get_int_max_str_digits()
-    # the default limit is 4,300 digits: Bell(2000) has 4,350 and Catalan(8000) 4,811
-    sys.set_int_max_str_digits(0)
-    try:
-        print(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    print(_int_text(_COUNTS[args.kind](args.n)))
     return 0
 
 
@@ -219,15 +238,15 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     from . import _plain
     from ._readers import _paren_parts, _read_armleg
-    from .render import _armleg_ascii, _armleg_svg, _paren_ascii, _paren_svg
+    from .render import armleg_ascii, armleg_svg, paren_ascii, paren_svg
 
     svg = args.format == "svg"
     if args.kind == "armleg":
         read = _read_armleg
-        draw = (lambda cells: _armleg_svg(cells, args.extend)) if svg else _armleg_ascii
+        draw = (lambda cells: armleg_svg(cells, args.extend)) if svg else armleg_ascii
     else:
         read = lambda text: _plain._paren_text(*_paren_parts(text))
-        draw = _paren_svg if svg else _paren_ascii
+        draw = paren_svg if svg else paren_ascii
     for texts in _reads(args.value):
         _write(draw(read(text)) for text in texts)
     return 0

@@ -219,8 +219,7 @@ def enumerate_bsps(n: int) -> Iterator[SpacedParen]:
 
 def enumerate_gbsps(n: int) -> Iterator[GBsp]:
     """Every g-augmented balanced parenthesization on n spaces; Bell-many in total."""
-    F_seen = base = None
-    for F, L, g in _plain._gbsps(n):
-        if F is not F_seen:  # `_gbsps` yields one F object per base: check each base once
-            F_seen, base = F, SpacedParen(n, F, L)
-        yield GBsp(base, _g_pairs(F, g))
+    for F, L in _plain._bsps(n):
+        base = SpacedParen(n, F, L)  # checked once, for all its fillings
+        for g in _plain._g_fillings(n, F, L):
+            yield GBsp(base, _g_pairs(F, g))

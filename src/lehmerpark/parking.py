@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _plain
-from .permutation import InversionTable, Permutation, contains_armleg_pattern, inverse
+from .permutation import InversionTable, Permutation, _IntWord, contains_armleg_pattern, inverse
 
 __all__ = [
     "PrefTuple",
@@ -26,27 +26,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PrefTuple:
+class PrefTuple(_IntWord):
     """Length-n tuple of parking preferences, each in [1, n]."""
 
     prefs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefs", _plain._check_prefs(self.prefs))
-
-    @property
-    def n(self) -> int:
-        return len(self.prefs)
-
-    def to_text(self) -> str:
-        return ",".join(str(a) for a in self.prefs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PrefTuple":
-        return cls(_plain._parse_int_word(text))
-
-    def to_json_obj(self) -> list[int]:
-        return list(self.prefs)
+    _field, _check = "prefs", "_check_prefs"
 
 
 @dataclass(frozen=True)

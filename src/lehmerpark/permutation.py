@@ -25,18 +25,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A rearrangement of {1, ..., n} in one-line notation."""
-
-    word: tuple[int, ...]
+class _IntWord:
+    """What `Permutation`, `InversionTable` and `PrefTuple` share: one tuple of
+    integers in the field named `_field`, checked by the `_plain` function named
+    `_check`, which is looked up when the constructor runs."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word", _plain._check_word(self.word))
+        word = getattr(_plain, self._check)(getattr(self, self._field))
+        object.__setattr__(self, self._field, word)
 
     @property
     def n(self) -> int:
-        return len(self.word)
+        return len(getattr(self, self._field))
+
+    def to_text(self) -> str:
+        return ",".join(map(str, getattr(self, self._field)))
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls(_plain._parse_int_word(text))
+
+    def to_json_obj(self) -> list[int]:
+        return list(getattr(self, self._field))
+
+
+@dataclass(frozen=True)
+class Permutation(_IntWord):
+    """A rearrangement of {1, ..., n} in one-line notation."""
+
+    word: tuple[int, ...]
+    _field, _check = "word", "_check_word"
 
     def value_at(self, pos: int) -> int:
         """Value at 1-based position `pos`."""
@@ -50,16 +68,6 @@ class Permutation:
             raise ValueError(f"value {value} out of range [1, {self.n}]")
         return self.word.index(value) + 1
 
-    def to_text(self) -> str:
-        return ",".join(str(v) for v in self.word)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        return cls(_plain._parse_int_word(text))
-
-    def to_json_obj(self) -> list[int]:
-        return list(self.word)
-
     @classmethod
     def from_json_obj(cls, obj) -> "Permutation":
         return cls(_json_array(obj, "a permutation"))
@@ -71,27 +79,11 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class InversionTable:
+class InversionTable(_IntWord):
     """Entry i counts the values j > i standing to the left of i; it lies in [0, n-i]."""
 
     entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _plain._check_table(self.entries))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def to_text(self) -> str:
-        return ",".join(str(e) for e in self.entries)
-
-    @classmethod
-    def from_text(cls, text: str) -> "InversionTable":
-        return cls(_plain._parse_int_word(text))
-
-    def to_json_obj(self) -> list[int]:
-        return list(self.entries)
+    _field, _check = "entries", "_check_table"
 
 
 def identity(n: int) -> Permutation:

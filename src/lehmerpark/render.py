@@ -1,8 +1,10 @@
 """ASCII and SVG renderers for arm-leg diagrams and parenthesizations.
 
-Each public function unpacks its object into the plain value that its drawer
-reads and the CLI's `render` reads directly: the cells word of a diagram (the
-row of each column, 0 for an empty one) or a parenthesization's string form.
+Each drawer takes its object or the plain value it draws from, which is what
+the CLI's `render` passes: the cells word of a diagram (a tuple, the row of each
+column, 0 for an empty one; a permutation's word draws the same way) or a
+parenthesization's string form.  One body draws both, so a plain value and its
+object give the same picture.
 """
 
 from __future__ import annotations
@@ -26,8 +28,18 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _cells(source: Permutation | PartialArmLegDiagram) -> tuple[int, ...]:
-    """The cells word of `source`: a permutation's word, or a diagram's rows."""
+def _cells(source: Permutation | PartialArmLegDiagram | tuple[int, ...]) -> tuple[int, ...]:
+    """The cells word of `source`: a plain word, checked before the import that the
+    CLI never runs, else a permutation's word or a diagram's rows."""
+    if isinstance(source, tuple):
+        n = len(source)
+        for c, r in enumerate(source, start=1):
+            if not 0 <= r <= n:
+                raise ValueError(f"column {c} is in row {r}, outside [0, {n}]")
+        rows = [r for r in source if r]
+        if len(set(rows)) < len(rows):
+            raise ValueError("two columns share a row")
+        return source
     from .permutation import Permutation
 
     return source.word if isinstance(source, Permutation) else source._rows
@@ -41,14 +53,10 @@ def _diagram(cells) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
     return n, [p for p in points if p[1] >= n - p[0] + 1], [p for p in points if p[1] <= n - p[0]]
 
 
-def armleg_ascii(source: Permutation | PartialArmLegDiagram) -> str:
+def armleg_ascii(source: Permutation | PartialArmLegDiagram | tuple[int, ...]) -> str:
     """Character grid, row n at the top: 'o' entries, '-' arms, '|' legs,
     '+' where an arm crosses a leg, '\\' on empty antidiagonal cells."""
-    return _armleg_ascii(_cells(source))
-
-
-def _armleg_ascii(cells) -> str:
-    n, peak_pts, extra = _diagram(cells)
+    n, peak_pts, extra = _diagram(_cells(source))
     grid = [["." for _ in range(n)] for _ in range(n)]
 
     def put(c: int, r: int, ch: str) -> None:
@@ -69,17 +77,15 @@ def _armleg_ascii(cells) -> str:
     return "\n".join(" ".join(row) for row in grid)
 
 
-def armleg_svg(source: Permutation | PartialArmLegDiagram, extend: bool = False) -> str:
+def armleg_svg(
+    source: Permutation | PartialArmLegDiagram | tuple[int, ...], extend: bool = False
+) -> str:
     """SVG with the grid, the antidiagonal, points, arms, and legs.
 
     (1, n) is the upper-left cell.  `extend` stretches arms and legs slightly
     past the antidiagonal, as in hand-drawn figures.
     """
-    return _armleg_svg(_cells(source), extend)
-
-
-def _armleg_svg(cells, extend: bool = False) -> str:
-    n, peak_pts, extra = _diagram(cells)
+    n, peak_pts, extra = _diagram(_cells(source))
     side = 2 * _MARGIN + max(n, 1) * _CELL
 
     def x(col: float) -> float:
@@ -140,7 +146,7 @@ def _labels(top: str) -> str:
     return labels
 
 
-def paren_ascii(x: SpacedParen | GBsp) -> str:
+def paren_ascii(x: SpacedParen | GBsp | str) -> str:
     """Two rows: the paren string over the space labels.
 
     >>> from lehmerpark.paren import SpacedParen
@@ -148,19 +154,13 @@ def paren_ascii(x: SpacedParen | GBsp) -> str:
     (_ _ (_ _ (_) _) _)
      1 2  3 4  5  6  7
     """
-    return _paren_ascii(str(x))  # str(x) is `paren.render(x)`, the string form
-
-
-def _paren_ascii(top: str) -> str:
+    top = str(x)  # `paren.render(x)`, the string form, and a string form itself
     labels = _labels(top)
     return f"{top}\n{labels}" if labels else top
 
 
-def paren_svg(x: SpacedParen | GBsp) -> str:
-    return _paren_svg(str(x))
-
-
-def _paren_svg(top: str) -> str:
+def paren_svg(x: SpacedParen | GBsp | str) -> str:
+    top = str(x)
     labels = _labels(top)
     char = 12
     width = 2 * _MARGIN + char * max(len(top), 1)

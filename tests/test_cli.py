@@ -235,6 +235,39 @@ def test_count_prints_past_the_int_print_limit_and_restores_it(capsys):
     assert len(expected) == 4811 and out == expected + "\n"
 
 
+def test_fiber_count_prints_past_the_int_print_limit_and_restores_it(capsys):
+    # the nested base F = [1559], L = [1560, 3118]: the depths outside F are 1559 down to 1
+    m = 1559
+    base = json.dumps({"n": 2 * m, "F": list(range(1, m + 1)), "L": list(range(m + 1, 2 * m + 1))})
+    limit = sys.get_int_max_str_digits()
+    out = run_cli(capsys, "fiber", "--count", base).out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.factorial(m))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4303 and out == expected + "\n"
+
+
+def test_fiber_count_past_the_ceiling_is_refused_before_the_product(capsys, monkeypatch):
+    # F = {1, 2}, L = {n - 1, n}: depth 2 at every space from 3 to n - 1, so 2^(n - 3)
+    def product(*base):
+        raise AssertionError("the product of depths was formed")
+
+    monkeypatch.setattr(_plain, "_fiber_size", product)
+    n = 10 ** 6
+    base = json.dumps({"n": n, "F": [1, 2], "L": [n - 1, n]})
+    err = json.loads(run_cli(capsys, "fiber", "--count", base, expect=1).err)
+    digits = math.floor((n - 3) * math.log10(2)) + 1
+    assert err == {
+        "error": f"a fiber size of {digits} digits is past the ceiling of {cli._FIBER_MAX_DIGITS} "
+                 "digits of `fiber --count`, whose product of depths and decimal text take "
+                 "about a second there",
+        "code": "domain",
+    }
+
+
 def test_module_runs_as_script():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(lehmerpark.__file__))
@@ -400,6 +433,29 @@ def test_render_svg_after_flags(capsys):
 def test_render_paren_ascii(capsys):
     out = run_cli(capsys, "render", "paren", "(_ (_ 2 1) (_) 1)").out
     assert out == "(_ (_ 2 1) (_) 1)\n 1  2 3 4   5  6\n"
+
+
+@pytest.mark.parametrize("argv, token, pos", [
+    (("park", "\u0661,\u0661"), "\u0661", 1),  # Arabic-Indic digit one
+    (("park", "\u00b2,1"), "\u00b2", 1),  # superscript two, which int() refuses
+    (("park", "2,\u00b2"), "\u00b2", 2),
+    (("invtable", "to-table", "\u0662\u0661"), "\u0662\u0661", 1),  # no digit-string reading
+    (("check", "lehmer", "1,\uff11"), "\uff11", 2),  # fullwidth digit one
+], ids=["arabic-indic", "superscript", "superscript-second", "digit-string", "fullwidth"])
+def test_integer_words_read_only_ascii_digits(capsys, argv, token, pos):
+    err = json.loads(run_cli(capsys, *argv, expect=1).err)
+    assert err == {"error": f"bad integer {token!r} at position {pos}", "code": "parse", "position": pos}
+
+
+@pytest.mark.parametrize("argv, token, pos", [
+    (("from-gbsp", "(_ \u0661)"), "\u0661)", 2),
+    (("from-gbsp", "(_ _\n _)"), "_\n", 2),  # a whole token, so no newline before its end
+    (("render", "paren", "(_ _\n)"), "_\n)", 2),
+    (("fiber", "(\u0661 _)"), "(\u0661", 1),
+], ids=["arabic-indic", "newline", "newline-closing", "fiber"])
+def test_parenthesization_grammar_reads_only_ascii_digits_and_whole_tokens(capsys, argv, token, pos):
+    err = json.loads(run_cli(capsys, *argv, expect=1).err)
+    assert err == {"error": f"bad token {token!r} at space {pos}", "code": "parse", "position": pos}
 
 
 def test_domain_error_json_on_stderr(capsys):

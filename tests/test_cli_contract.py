@@ -28,6 +28,8 @@ from lehmerpark import (
     PrefTuple,
     SetPartition,
     SpacedParen,
+    fiber,
+    fiber_size,
     outcome_to_partition,
     parse,
     partition_to_outcome,
@@ -36,7 +38,8 @@ from lehmerpark import (
     to_gbsp,
 )
 from lehmerpark.cli import main
-from lehmerpark.errors import ParseError
+from lehmerpark.errors import LehmerError, ParseError
+from lehmerpark.render import paren_ascii
 
 VERBS = [
     ("park",),
@@ -212,52 +215,67 @@ enumerated_edits = st.one_of(
 )
 
 
+def _paren(text):
+    """The checked parenthesization of a line, read by the library's own readers."""
+    if text.startswith("{"):
+        obj = readers._loads(text)
+        return GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
+    return parse(text)
+
+
 def _checked(verb, text):
-    """The library path of a roundtrip verb: the value read into checked objects
+    """The stdout of a verb on the library path: the value read into checked objects
     by the library's own readers and constructors, then mapped by the library."""
     text = text.strip()
-    if verb == "from-gbsp":
-        if text.startswith("{"):
-            obj = readers._loads(text)
-            x = GBsp.from_json_obj(obj) if "g" in obj else SpacedParen.from_json_obj(obj)
-        else:
-            x = parse(text)
-        return {"outcome": list(phi_prime_inv(x if isinstance(x, GBsp) else GBsp(x, {})).word)}
-    if verb == "from-partition":
+    if verb in {("from-gbsp",), ("fiber",), ("fiber", "--count"), ("render", "paren")}:
+        x = _paren(text)
+        if verb == ("from-gbsp",):
+            return _line({"outcome": list(phi_prime_inv(x if isinstance(x, GBsp) else GBsp(x, {})).word)})
+        if verb == ("render", "paren"):
+            return paren_ascii(x) + "\n"
+        if isinstance(x, GBsp):
+            raise LehmerError("expected a plain parenthesization without g")
+        if verb == ("fiber", "--count"):
+            return f"{fiber_size(x)}\n"
+        return "".join(_line({"outcome": list(oc.word)}) for oc in fiber(x))
+    if verb == ("from-partition",):
         if text.startswith("{") and not text.startswith("{{") and '"' in text:
             b = SetPartition.from_json_obj(readers._loads(text))
         else:
             b = SetPartition.from_text(text)
-        return {"outcome": list(partition_to_outcome(b).word)}
+        return _line({"outcome": list(partition_to_outcome(b).word)})
     p = OutcomePermutation(readers._int_word(text, Permutation, "outcome", "perm"))
-    if verb == "to-gbsp":
-        return phi_prime(p).to_json_obj()
-    return {"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]}
+    if verb == ("to-gbsp",):
+        return _line(phi_prime(p).to_json_obj())
+    return _line({"blocks": [list(blk) for blk in outcome_to_partition(p).blocks]})
 
 
 def _line(obj):
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+# the roundtrip verbs, and the verbs that read a parenthesization line through the
+# same reader as from-gbsp; about 100 draws for each
+@settings(max_examples=700, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(verb=st.sampled_from(["from-gbsp", "from-partition", "to-gbsp", "to-partition"]),
+@given(verb=st.sampled_from([("from-gbsp",), ("from-partition",), ("to-gbsp",), ("to-partition",),
+                             ("fiber",), ("fiber", "--count"), ("render", "paren")]),
        value=values | gbsp_objects | enumerated_edits)
 # edits at the edge of the one-pass reader, drawn every run: g at 0 and at depth + 1,
 # and an L entry past n, which only the depth left open at the end betrays
-@example(verb="from-gbsp", value='{"n":3,"F":[1],"L":[3],"g":{"2":0,"3":1}}')
-@example(verb="from-gbsp", value='{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":2}}')
-@example(verb="from-gbsp", value='{"n":3,"F":[1,3],"L":[2,4],"g":{"2":1}}')
+@example(verb=("from-gbsp",), value='{"n":3,"F":[1],"L":[3],"g":{"2":0,"3":1}}')
+@example(verb=("from-gbsp",), value='{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":2}}')
+@example(verb=("from-gbsp",), value='{"n":3,"F":[1,3],"L":[2,4],"g":{"2":1}}')
 def test_roundtrip_verbs_equal_the_checked_library_path(verb, value):
     try:
-        expected = (0, _line(_checked(verb, value)), "")
+        expected = (0, _checked(verb, value), "")
     except ValueError as exc:
         error = {"error": str(exc), "code": getattr(exc, "code", "domain")}
         for key in ("position", "space"):
             if getattr(exc, key, None) is not None:
                 error[key] = getattr(exc, key)
         expected = (1, "", _line(error))
-    assert call([verb, "--", value]) == expected  # "--": a value may start with "-"
+    assert call([*verb, "--", value]) == expected  # "--": a value may start with "-"
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -183,6 +183,34 @@ def test_render_cli_equals_the_public_drawer_on_the_library_object(capsys, monke
     assert _render_cli(capsys, monkeypatch, [kind, *flags], lines) == (0, expected, "")
 
 
+def _plain_value(x):
+    """The plain value that `render` passes to a drawer for `x`: a permutation's word,
+    a diagram's row by column (0 for an empty column), or the string form."""
+    if isinstance(x, Permutation):
+        return x.word
+    if isinstance(x, PartialArmLegDiagram):
+        rows = dict(x.points)
+        return tuple(rows.get(c, 0) for c in range(1, x.n + 1))
+    return str(x)
+
+
+@pytest.mark.parametrize("fmt", list(DRAWERS))
+@pytest.mark.parametrize("kind", ["armleg", "paren"])
+def test_each_drawer_draws_the_plain_value_as_it_draws_the_object(kind, fmt):
+    _, draw_armleg, draw_paren = DRAWERS[fmt]
+    inputs, draw = (_armleg_inputs(), draw_armleg) if kind == "armleg" else (_paren_inputs(), draw_paren)
+    for _, x in inputs:
+        assert draw(_plain_value(x)) == draw(x), x
+    if kind == "armleg":  # a cells word that is no diagram is refused, not drawn on the wrong row
+        for cells, message in [((4, 0, 0), "column 1 is in row 4, outside [0, 3]"),
+                               ((0, -1), "column 2 is in row -1, outside [0, 2]"),
+                               ((5,), "column 1 is in row 5, outside [0, 1]"),
+                               ((2, 0, 2), "two columns share a row")]:
+            with pytest.raises(ValueError) as exc:
+                draw(cells)
+            assert str(exc.value) == message
+
+
 def _error(message, code="domain", **extra):
     return json.dumps({"error": message, "code": code, **extra}, separators=(",", ":")) + "\n"
 
