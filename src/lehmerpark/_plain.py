@@ -23,6 +23,7 @@ from collections.abc import Iterator, Mapping
 
 from .errors import (
     _INT, GbspError, ParseError, _distinct, _int, _int_pairs, _ints, _json_array, _not_a_sequence,
+    _size,
 )
 
 
@@ -30,7 +31,7 @@ def _parse_int_word(text: str) -> tuple[int, ...]:
     """Comma-separated integers; a bare digit string is one value per digit (n <= 9).
     Only the ASCII digits 0-9 are read.  Entries are range-checked by the
     constructor that takes them."""
-    text = text.strip().strip("()")
+    text = text.strip()
     if not text:
         return ()
     # str.isdigit and int() also take other scripts' digits, such as "١" and "²":
@@ -173,8 +174,7 @@ def _check_diagram(n, points) -> tuple[int, ...]:
     each at or above the antidiagonal of the n-by-n grid and no two in one row or
     column, or the first error found.  The constructor and the CLI both read through it."""
     pts = _distinct(list(map(GridPoint._make, _int_pairs(points, "points"))), "points")
-    if _int(n, "n") < 0:
-        raise ValueError("n must be nonnegative")
+    _size(n)
     for c, r in pts:
         if not (1 <= c <= n and 1 <= r <= n):
             raise ValueError(f"point ({c},{r}) outside the [{n}] grid")
@@ -255,8 +255,7 @@ def _check_paren(n, F, L) -> tuple[int, frozenset[int], frozenset[int]]:
     error found.  The constructor and the CLI both read through it."""
     F = _distinct(_ints(F, "F"), "F")
     L = _distinct(_ints(L, "L"), "L")
-    if _int(n, "n") < 0:
-        raise ValueError("n must be nonnegative")
+    _size(n)
     for name, members in (("F", F), ("L", L)):
         if members and (min(members) < 1 or max(members) > n):
             bad = sorted(i for i in members if not 1 <= i <= n)
@@ -409,8 +408,7 @@ def _paren_text(n: int, F, L, g=None) -> str:
 
 def _bsps(n: int) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """(F, L) of every balanced spaced parenthesization on n spaces, exactly once."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _size(n)
     # an explicit stack: choice[i] = 2 * opens + closes at space i, tried from
     # 0 to 3, and before[i] = parens still open before space i
     choice = [-1] * (n + 2)
@@ -555,8 +553,7 @@ def _min_max(blocks) -> tuple[frozenset[int], frozenset[int]]:
 def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The blocks of every set partition of [n], each block ascending and the
     blocks by minimum, as `SetPartition` keeps them; unchecked."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _size(n)
     # depth first from the blocks of [k - 1]: k joins block j for each j in turn, then
     # starts a block of its own, which lists the restricted growth strings (Knuth,
     # TAOCP 4A 7.2.1.5) in lexicographic order; children go on the stack last first

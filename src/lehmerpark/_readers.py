@@ -192,8 +192,10 @@ def _partition_to_outcome(partition) -> dict:
 
 
 # each transform verb reads one value per input, checked, and maps it to one JSON
-# line.  A map checks what it writes as the constructor of its output would, and
-# a leg whose output is an outcome certifies it.
+# line.  `park` and the two `invtable` legs check what they write as the constructor
+# of their output would, and a leg whose output is an outcome certifies it.  `phi`,
+# `to-gbsp` and `to-partition` write unchecked: their input is a certified outcome,
+# and `verify lemma3.12`, `lemma3.16` and `thm3.1` pin their legs on every outcome.
 _TRANSFORMS = {
     "park": (_read_prefs, _parked),
     "to-table": (

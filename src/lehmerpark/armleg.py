@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import _plain
 from ._plain import GridPoint
+from .errors import _index
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation
 
@@ -107,6 +108,4 @@ def depth_at(t: PartialArmLegDiagram, i: int) -> int:
 
     Agrees with the parenthesization depth of space i under arms_legs.
     """
-    if not 1 <= i <= t.n:
-        raise ValueError(f"space {i} out of range [1, {t.n}]")
-    return _plain._depth_at(t._rows, i)
+    return _plain._depth_at(t._rows, _index(i, t.n, "space"))

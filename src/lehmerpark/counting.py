@@ -1,7 +1,8 @@
 """The outcome walk and the counting recurrences, on plain integers and tuples.
 
-This module imports nothing from the package, so the CLI's `count` verbs and
-`enumerate outcomes` load it alone.  `enumeration` imports every name back.
+Of the package this module imports only `errors`, whose `_size` checks every
+size argument and which every CLI verb loads already, so the CLI's `count` verbs
+and `enumerate outcomes` load nothing more.  `enumeration` imports every name back.
 
 `iter_outcome_words(n)` yields the outcomes of the n! staircase tuples in
 lexicographic order, without parking them.  A permutation w of [n] is an
@@ -38,12 +39,12 @@ import itertools
 import math
 from collections.abc import Iterator
 
+from .errors import _size
+
 
 def _staircase(n: int) -> Iterator[tuple[int, ...]]:
     # the staircase tuples as plain tuples, in lexicographic order
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return itertools.product(*(range(1, n - i + 2) for i in range(1, n + 1)))
+    return itertools.product(*(range(1, n - i + 2) for i in range(1, _size(n) + 1)))
 
 
 def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
@@ -54,9 +55,7 @@ def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
     >>> list(iter_outcome_words(3))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
+    if _size(n) == 0:
         yield ()
         return
     column = [0] * (n + 1)  # column[v] = column holding value v, or 0
@@ -132,13 +131,7 @@ def outcome_peak_counts(n: int) -> list[int]:
     >>> outcome_peak_counts(4)
     [0, 1, 7, 6, 1]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _DP_MAX_N:
-        raise ValueError(
-            f"n = {n} is past the ceiling n <= {_DP_MAX_N} of the reservation count, "
-            "whose O(n^3) big-integer sums take about a second there"
-        )
+    _size(n, ceiling=_DP_MAX_N, cost="the reservation count, whose O(n^3) big-integer sums")
     for row in _peak_rows(n):
         pass
     return row
@@ -156,13 +149,7 @@ def bell(n: int) -> int:
     >>> [bell(k) for k in range(6)]
     [1, 1, 2, 5, 15, 52]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _BELL_MAX_N:
-        raise ValueError(
-            f"n = {n} is past the ceiling n <= {_BELL_MAX_N} of the Bell triangle, "
-            "whose O(n^2) big-integer sums take about a second there"
-        )
+    _size(n, ceiling=_BELL_MAX_N, cost="the Bell triangle, whose O(n^2) big-integer sums")
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -184,13 +171,8 @@ def catalan(n: int) -> int:
     >>> [catalan(k) for k in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _CATALAN_MAX_N:
-        raise ValueError(
-            f"n = {n} is past the ceiling n <= {_CATALAN_MAX_N} of the binomial formula, "
-            "whose big-integer product and decimal text take about a second there"
-        )
+    _size(n, ceiling=_CATALAN_MAX_N,
+          cost="the binomial formula, whose big-integer product and decimal text")
     return math.comb(2 * n, n) // (n + 1)
 
 

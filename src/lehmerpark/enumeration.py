@@ -2,8 +2,8 @@
 
 The outcome walk `iter_outcome_words`, the reservation count
 `outcome_peak_counts` and the recurrences `bell`, `catalan` and
-`_stirling_row` live in `counting`, which imports nothing from the package, and
-are imported back here; `counting`'s docstring says how each works.
+`_stirling_row` live in `counting`, which imports only `errors` from the
+package, and are imported back here; `counting`'s docstring says how each works.
 `outcome_set` collects the walk into certified outcomes.  `verify(theorem,
 n_max)` runs one named exhaustive check for every n from 0 to n_max and
 reports counterexamples verbatim.
@@ -25,11 +25,11 @@ instead of stopping with an error.
 
 The diagram checks (`lemma3.4`, `lemma3.5`, `lemma3.7`) read the arm-leg
 diagram of `_plain` too: its rows by column, 0 marking an empty column.  This
-module imports only `_plain` and `counting` at the top, and `VerificationReport`
-is a `NamedTuple`, so no check loads an object module or `dataclasses`, and
-a discrepancy names a parenthesization in the string grammar (`_paren_text`).
-Only `all_lehmer`, `outcome_set` and `enumerate_partitions` import their
-object modules, when they run.
+module imports only `_plain`, `counting` and `errors` at the top, and
+`VerificationReport` is a `NamedTuple`, so no check loads an object module or
+`dataclasses`, and a discrepancy names a parenthesization in the string
+grammar (`_paren_text`).  Only `all_lehmer`, `outcome_set` and
+`enumerate_partitions` import their object modules, when they run.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .counting import (
     outcome_peak_counts,
     outcome_words,
 )
+from .errors import _size
 
 if TYPE_CHECKING:
     from .bijection import OutcomePermutation
@@ -572,10 +573,7 @@ def verify(theorem: str, n_max: int | None = None) -> VerificationReport:
     values cost accordingly.
     """
     _, default_max, check = _lookup(theorem)
-    if n_max is None:
-        n_max = default_max
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = default_max if n_max is None else _size(n_max, "n_max")
     start = time.perf_counter()
     drawn = _Drawn()
     discrepancies = tuple(line for n in range(n_max + 1) for line in check(n, drawn))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the entry checks of its constructors."""
+"""Exception types shared across the package, and the entry checks of its
+constructors and of its size and index arguments."""
 
 from __future__ import annotations
 
@@ -43,6 +44,24 @@ def _int(value, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _size(n, what: str = "n", ceiling: int | None = None, cost: str = "") -> int:
+    """`n` if it is a nonnegative integer and, given a `ceiling`, at most it; `cost`
+    names the work that takes about a second at the ceiling."""
+    if _int(n, what) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    if ceiling is not None and n > ceiling:
+        raise ValueError(f"{what} = {n} is past the ceiling {what} <= {ceiling} of {cost} "
+                         "take about a second there")
+    return n
+
+
+def _index(i, n: int, what: str) -> int:
+    """`i` if it is an integer in [1, n]; `what` names it, as "position" or "space"."""
+    if not 1 <= _int(i, what) <= n:
+        raise ValueError(f"{what} {i} out of range [1, {n}]")
+    return i
 
 
 def _not_a_sequence(value, what: str) -> ParseError:

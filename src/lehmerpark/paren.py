@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _plain
-from .errors import _int_pairs
+from .errors import _index, _int_pairs
 
 __all__ = [
     "SpacedParen",
@@ -69,10 +69,8 @@ def depth(sp: SpacedParen, i: int) -> int:
 
     Defined for unbalanced input too (it may then be nonpositive).
     """
-    if not 1 <= i <= sp.n:
-        raise ValueError(f"space {i} out of range [1, {sp.n}]")
     sweep = _plain._iter_depths(sp.n, sp.F, sp.L)
-    return next(itertools.islice(sweep, i - 1, None))  # stops at space i
+    return next(itertools.islice(sweep, _index(i, sp.n, "space") - 1, None))  # stops at space i
 
 
 def depths(sp: SpacedParen) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _plain
-from .errors import _json_array
+from .errors import _index, _json_array, _size
 
 __all__ = [
     "Permutation",
@@ -58,15 +58,11 @@ class Permutation(_IntWord):
 
     def value_at(self, pos: int) -> int:
         """Value at 1-based position `pos`."""
-        if not 1 <= pos <= self.n:
-            raise ValueError(f"position {pos} out of range [1, {self.n}]")
-        return self.word[pos - 1]
+        return self.word[_index(pos, self.n, "position") - 1]
 
     def position_of(self, value: int) -> int:
         """1-based position holding `value`."""
-        if not 1 <= value <= self.n:
-            raise ValueError(f"value {value} out of range [1, {self.n}]")
-        return self.word.index(value) + 1
+        return self.word.index(_index(value, self.n, "value")) + 1
 
     @classmethod
     def from_json_obj(cls, obj) -> "Permutation":
@@ -87,7 +83,7 @@ class InversionTable(_IntWord):
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation(tuple(range(1, _size(n) + 1)))
 
 
 def inverse(p: Permutation) -> Permutation:

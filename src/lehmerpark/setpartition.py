@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _plain
+from .errors import _index
 from .paren import GBsp, SpacedParen, _gbsp, _gbsp_values
 
 __all__ = [
@@ -35,10 +36,8 @@ class SetPartition:
         object.__setattr__(self, "blocks", _plain._check_blocks(self.n, self.blocks))
 
     def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"{x} is not in [1, {self.n}]")
+        _index(x, self.n, "element")
+        return next(b for b in self.blocks if x in b)
 
     def to_text(self) -> str:
         return _plain._blocks_text(self.blocks)

@@ -441,7 +441,16 @@ def test_render_paren_ascii(capsys):
     (("park", "2,\u00b2"), "\u00b2", 2),
     (("invtable", "to-table", "\u0662\u0661"), "\u0662\u0661", 1),  # no digit-string reading
     (("check", "lehmer", "1,\uff11"), "\uff11", 2),  # fullwidth digit one
-], ids=["arabic-indic", "superscript", "superscript-second", "digit-string", "fullwidth"])
+    # no form of an integer word has parentheses, so none is stripped
+    (("park", "(((1,1"), "(((1", 1),
+    (("park", ")1,1("), ")1", 1),
+    (("park", "(1,1)"), "(1", 1),
+    (("invtable", "to-table", "(21))"), "(21))", 1),
+    (("invtable", "from-table", "((1,0"), "((1", 1),
+    (("check", "lehmer", "(3,1,1)"), "(3", 1),
+], ids=["arabic-indic", "superscript", "superscript-second", "digit-string", "fullwidth",
+        "paren-open", "paren-reversed", "paren-wrapped", "paren-to-table", "paren-from-table",
+        "paren-check"])
 def test_integer_words_read_only_ascii_digits(capsys, argv, token, pos):
     err = json.loads(run_cli(capsys, *argv, expect=1).err)
     assert err == {"error": f"bad integer {token!r} at position {pos}", "code": "parse", "position": pos}

@@ -28,14 +28,28 @@ from lehmerpark import (
     PrefTuple,
     SetPartition,
     SpacedParen,
+    all_lehmer,
+    bell,
+    catalan,
+    depth,
+    depth_at,
+    enumerate_bsps,
+    enumerate_gbsps,
+    enumerate_partitions,
     fiber,
     fiber_size,
+    identity,
+    iter_outcome_words,
+    outcome_peak_counts,
+    outcome_set,
     outcome_to_partition,
+    outcome_words,
     parse,
     partition_to_outcome,
     phi_prime,
     phi_prime_inv,
     to_gbsp,
+    verify,
 )
 from lehmerpark.cli import main
 from lehmerpark.errors import LehmerError, ParseError
@@ -342,6 +356,55 @@ def test_constructors_refuse_a_value_that_is_no_sequence(cls, args, message):
     assert str(err.value) == message
 
 
+_WORD = Permutation((2, 3, 1))
+_BASE = SpacedParen(3, [1], [3])
+_DIAGRAM = PartialArmLegDiagram(3, [(3, 1)])
+_PARTITION = SetPartition(3, ((1, 3), (2,)))
+
+# each entry point that takes a size or a 1-based index: (call, the argument's name,
+# the refusal of -1); a generator is advanced once, since it checks when first advanced
+SIZE_AND_INDEX_CALLS = {
+    "bell": (bell, "n", "n must be nonnegative"),
+    "catalan": (catalan, "n", "n must be nonnegative"),
+    "outcome_peak_counts": (outcome_peak_counts, "n", "n must be nonnegative"),
+    "iter_outcome_words": (lambda v: next(iter_outcome_words(v)), "n", "n must be nonnegative"),
+    "outcome_words": (outcome_words, "n", "n must be nonnegative"),
+    "outcome_set": (outcome_set, "n", "n must be nonnegative"),
+    "all_lehmer": (lambda v: next(all_lehmer(v)), "n", "n must be nonnegative"),
+    "identity": (identity, "n", "n must be nonnegative"),
+    "enumerate_bsps": (lambda v: next(enumerate_bsps(v)), "n", "n must be nonnegative"),
+    "enumerate_gbsps": (lambda v: next(enumerate_gbsps(v)), "n", "n must be nonnegative"),
+    "enumerate_partitions": (
+        lambda v: next(enumerate_partitions(v)), "n", "n must be nonnegative",
+    ),
+    "verify": (lambda v: verify("lemma3.4", v), "n_max", "n_max must be nonnegative"),
+    "value_at": (_WORD.value_at, "position", "position -1 out of range [1, 3]"),
+    "position_of": (_WORD.position_of, "value", "value -1 out of range [1, 3]"),
+    "depth": (lambda v: depth(_BASE, v), "space", "space -1 out of range [1, 3]"),
+    "depth_at": (lambda v: depth_at(_DIAGRAM, v), "space", "space -1 out of range [1, 3]"),
+    "block_of": (_PARTITION.block_of, "element", "element -1 out of range [1, 3]"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("entry", SIZE_AND_INDEX_CALLS)
+def test_size_and_index_arguments_refuse_instead_of_coercing(entry, value):
+    # True is not read as 1, nor 2.0 as 2: each is the ParseError a constructor gives,
+    # naming the argument, and a generator refuses it before its first yield
+    run, name, _ = SIZE_AND_INDEX_CALLS[entry]
+    with pytest.raises(ParseError) as err:
+        run(value)
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", SIZE_AND_INDEX_CALLS)
+def test_a_negative_size_or_index_keeps_its_message(entry):
+    run, _, message = SIZE_AND_INDEX_CALLS[entry]
+    with pytest.raises(ValueError) as err:
+        run(-1)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def _limited(argv, limit):
     """The arguments and options of one CLI subprocess whose address space is capped
     at `limit` bytes."""
@@ -407,7 +470,11 @@ def test_count_bell_past_the_ceiling_is_refused_at_once():
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()
     error = json.loads(line)
-    assert error["code"] == "domain" and "n <= " in error["error"]
+    assert error == {
+        "error": "n = 4000 is past the ceiling n <= 2000 of the Bell triangle, "
+                 "whose O(n^2) big-integer sums take about a second there",
+        "code": "domain",
+    }
 
 
 def test_count_catalan_past_the_ceiling_is_refused_at_once():
@@ -416,7 +483,11 @@ def test_count_catalan_past_the_ceiling_is_refused_at_once():
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()
     error = json.loads(line)
-    assert error["code"] == "domain" and "n <= " in error["error"]
+    assert error == {
+        "error": "n = 400000 is past the ceiling n <= 120000 of the binomial formula, "
+                 "whose big-integer product and decimal text take about a second there",
+        "code": "domain",
+    }
 
 
 def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():
@@ -425,4 +496,8 @@ def test_count_outcomes_past_the_ceiling_is_refused_before_it_allocates():
     assert (done.returncode, done.stdout) == (1, "")
     (line,) = done.stderr.splitlines()
     error = json.loads(line)
-    assert error["code"] == "domain" and "n <= " in error["error"]
+    assert error == {
+        "error": "n = 1200 is past the ceiling n <= 280 of the reservation count, "
+                 "whose O(n^3) big-integer sums take about a second there",
+        "code": "domain",
+    }

@@ -73,8 +73,9 @@ def test_no_top_level_function_or_class_is_defined_in_two_modules():
     assert {name: files for name, files in where.items() if len(files) > 1} == {}
 
 
-def test_the_plain_core_imports_only_errors_and_the_standard_library():
-    tree = ast.parse((SOURCE / "_plain.py").read_text())
+def _imports(module: str) -> tuple[set[str], set[str]]:
+    """The package modules and the top-level outside modules that `module` imports."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
     relative = {
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
     }
@@ -85,8 +86,27 @@ def test_the_plain_core_imports_only_errors_and_the_standard_library():
         node.module.partition(".")[0] for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__"
     }
+    return relative, absolute
+
+
+def test_the_plain_core_imports_only_errors_and_the_standard_library():
+    relative, absolute = _imports("_plain")
     assert relative == {"errors"}
     assert absolute <= sys.stdlib_module_names and "dataclasses" not in absolute
+
+
+def test_counting_imports_only_errors_and_the_size_refusals_are_worded_there():
+    # the count verbs load `counting` with `cli` and `errors` alone, and a size refusal is
+    # worded once, in `errors._size`, not copied beside each guard
+    relative, absolute = _imports("counting")
+    assert relative == {"errors"}
+    assert absolute <= sys.stdlib_module_names
+    worded_in = {
+        path.name for path, _ in _parsed()
+        for phrase in ("must be nonnegative", "is past the ceiling n <=")
+        if phrase in path.read_text()
+    }
+    assert worded_in == {"errors.py"}
 
 
 def test_the_package_imports_form_no_cycle():
