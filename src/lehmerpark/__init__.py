@@ -8,6 +8,13 @@ exhaustive small-n verification harness for every claim in between.
 
 Importing the package loads no submodule: each name below is imported from its
 module on first use (PEP 562), so a CLI verb loads only the modules it runs.
+
+`_EXPORTS` is the one list of the names each module exports.  The six object
+modules (`armleg`, `bijection`, `paren`, `parking`, `permutation`,
+`setpartition`) set their `__all__` to their row of it.  `enumeration` keeps a
+literal `__all__`, as it also re-exports the names of `counting` and its
+ceiling `_DP_MAX_N`, and so does `render`, which the package does not export by
+name.
 """
 
 from importlib import import_module

@@ -18,21 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _plain
+from . import _EXPORTS, _plain
 from ._plain import GridPoint
-from .errors import _index
+from .errors import _index, _not_a_sequence
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation
 
-__all__ = [
-    "GridPoint",
-    "PartialArmLegDiagram",
-    "peaks",
-    "arms_legs",
-    "is_intersecting",
-    "peaks_from_pairs",
-    "depth_at",
-]
+__all__ = _EXPORTS["armleg"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,10 @@ class PartialArmLegDiagram:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
-        points = tuple(self.points)
+        try:  # read once, for the check and the set below
+            points = tuple(self.points)
+        except TypeError:
+            raise _not_a_sequence(self.points, "points") from None
         object.__setattr__(self, "_rows", _plain._check_diagram(self.n, points))
         object.__setattr__(self, "points", frozenset(map(GridPoint._make, points)))
 

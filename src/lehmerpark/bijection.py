@@ -18,22 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import _plain
+from . import _EXPORTS, _plain
 from .armleg import arms_legs, peaks
 from .paren import GBsp, SpacedParen, _gbsp, _gbsp_values
 from .permutation import Permutation
 from .setpartition import SetPartition
 
-__all__ = [
-    "OutcomePermutation",
-    "phi",
-    "phi_prime",
-    "phi_prime_inv",
-    "fiber_size",
-    "fiber",
-    "outcome_to_partition",
-    "partition_to_outcome",
-]
+__all__ = _EXPORTS["bijection"]
 
 
 @dataclass(frozen=True)

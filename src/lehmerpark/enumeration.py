@@ -8,11 +8,12 @@ package, and are imported back here; `counting`'s docstring says how each works.
 n_max)` runs one named exhaustive check for every n from 0 to n_max and
 reports counterexamples verbatim.
 
-Every check has one shape, `check(n, drawn)`: a generator that yields its
-discrepancy lines and walks each family it examines through `drawn(...)`, which
-counts what it draws.  A family sized without a walk, such as a set of
-pattern avoiders, adds its size with `drawn.count += k`.  `verify` makes one
-counter per run and reports its total as `objects_checked`.
+Every check has one shape, `check(n, drawn)`: a generator that yields each
+discrepancy line without its n and walks each family it examines through
+`drawn(...)`, which counts what it draws.  A family sized without a walk, such
+as a set of pattern avoiders, adds its size with `drawn.count += k`.  `verify`
+runs the check for each n in turn and stamps `n=<n>: ` on each line it yields;
+it makes one counter per run and reports its total as `objects_checked`.
 
 The checks that walk the n!-, Bell- and Catalan-sized families run on the
 plain values their generators yield (staircase tuples, outcome words, blocks,
@@ -121,7 +122,7 @@ class VerificationReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# per-theorem checks, each check(n, drawn) -> discrepancy lines
+# per-theorem checks, each check(n, drawn) -> discrepancy lines without their n
 
 
 class _Drawn:
@@ -187,13 +188,13 @@ def _check_lemma1_2(n: int, drawn: _Drawn) -> Iterator[str]:
     park to a permutation (`_check_word`, the check of `park`'s outcome)."""
     for prefs in drawn(_staircase(n)):
         if not _plain._is_parking_function(prefs):
-            yield f"n={n}: staircase tuple {prefs} fails the sorted-prefix test"
+            yield f"staircase tuple {prefs} fails the sorted-prefix test"
             continue
         word = _plain._park(prefs)
         if isinstance(word, int):
-            yield f"n={n}: parking failed for staircase tuple {prefs}"
+            yield f"parking failed for staircase tuple {prefs}"
         elif refusal := _refusal(_plain._check_word, word):
-            yield f"n={n}: staircase tuple {prefs} parks to {word}: {refusal}"
+            yield f"staircase tuple {prefs} parks to {word}: {refusal}"
 
 
 def _check_thm2_4(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -203,15 +204,15 @@ def _check_thm2_4(n: int, drawn: _Drawn) -> Iterator[str]:
     for prefs in _staircase(n):
         word = _plain._park(prefs)
         if isinstance(word, int):
-            yield f"n={n}: parking failed for staircase tuple {prefs}"
+            yield f"parking failed for staircase tuple {prefs}"
         else:
             parked.add(word)
     avoiders = _avoiders(n, _plain._contains_armleg)
     drawn.count += len(parked) + len(avoiders)
     for w in sorted(parked - avoiders):
-        yield f"n={n}: {w} parked but contains the arm-leg pattern"
+        yield f"{w} parked but contains the arm-leg pattern"
     for w in sorted(avoiders - parked):
-        yield f"n={n}: {w} avoids the arm-leg pattern but never parks"
+        yield f"{w} avoids the arm-leg pattern but never parks"
 
 
 def _check_lemma3_4(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -219,13 +220,13 @@ def _check_lemma3_4(n: int, drawn: _Drawn) -> Iterator[str]:
         rows = _plain._peaks(w)
         for i, d in enumerate(_plain._iter_depths(n, *_plain._arms_legs(rows)), start=1):
             if (box := _plain._depth_at(rows, i)) != d:
-                yield f"n={n}: outcome {w} space {i}: box count {box} != paren depth {d}"
+                yield f"outcome {w} space {i}: box count {box} != paren depth {d}"
 
 
 def _check_lemma3_5(n: int, drawn: _Drawn) -> Iterator[str]:
     for w in drawn(iter_outcome_words(n)):
         if not _plain._is_balanced(n, *_plain._arms_legs(_plain._peaks(w))):
-            yield f"n={n}: arms/legs of outcome {w} are not balanced"
+            yield f"arms/legs of outcome {w} are not balanced"
 
 
 def _all_partial_diagrams(n: int) -> Iterator[tuple[int, ...]]:
@@ -246,12 +247,11 @@ def _check_lemma3_7(n: int, drawn: _Drawn) -> Iterator[str]:
     for F, L in drawn(_plain._bsps(n)):
         constructed = _plain._pairs_diagram(n, _plain._matching_pairs(n, F, L))
         if _plain._arms_legs(constructed) != (F, L):
-            text = _plain._paren_text(n, F, L)
-            yield f"n={n}: pairs of {text} do not reproduce its arms and legs"
+            yield f"pairs of {_plain._paren_text(n, F, L)} do not reproduce its arms and legs"
         candidates = groups.get((F, L), [])
         if len(candidates) != 1 or candidates[0] != constructed:
             yield (
-                f"n={n}: {len(candidates)} non-intersecting diagrams share arms/legs "
+                f"{len(candidates)} non-intersecting diagrams share arms/legs "
                 f"F={sorted(F)}, L={sorted(L)}; expected exactly the constructed one"
             )
 
@@ -262,10 +262,9 @@ def _check_lemma3_9(n: int, drawn: _Drawn) -> Iterator[str]:
     for F_L_g in drawn(_plain._gbsps(n)):
         word = _plain._phi_prime_inv(n, *F_L_g)
         if refusal := _refusal(_plain._as_outcome, word):
-            text = _plain._paren_text(n, *F_L_g)
-            yield f"n={n}: filling of {text} maps to outcome {word}: {refusal}"
+            yield f"filling of {_plain._paren_text(n, *F_L_g)} maps to outcome {word}: {refusal}"
         elif _plain._phi_prime(word)[:2] != F_L_g[:2]:
-            yield f"n={n}: filling of {_plain._paren_text(n, *F_L_g)} has wrong arms/legs"
+            yield f"filling of {_plain._paren_text(n, *F_L_g)} has wrong arms/legs"
 
 
 def _fiber_census(n: int, drawn: _Drawn, objects, check, image, label, noun: str,
@@ -276,19 +275,17 @@ def _fiber_census(n: int, drawn: _Drawn, objects, check, image, label, noun: str
     counts: Counter = Counter()
     for x in drawn(objects):
         if refusal := _refusal(check, x):
-            yield f"n={n}: {label(x)}: {refusal}"
+            yield f"{label(x)}: {refusal}"
         else:
             counts[image(x)] += 1
     for F, L in drawn(_plain._bsps(n)):
         got = counts.pop((F, L), 0)
         expected = _plain._fiber_size(n, F, L)
         if got != expected:
-            yield (
-                f"n={n}: {fiber_of}F={sorted(F)}, L={sorted(L)} has "
-                f"{got} {noun}, product of depths gives {expected}"
-            )
+            yield (f"{fiber_of}F={sorted(F)}, L={sorted(L)} has {got} {noun}, "
+                   f"product of depths gives {expected}")
     for F, L in counts:
-        yield f"n={n}: {noun} map to unlisted parenthesization F={sorted(F)}, L={sorted(L)}"
+        yield f"{noun} map to unlisted parenthesization F={sorted(F)}, L={sorted(L)}"
 
 
 def _check_cor3_10(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -310,21 +307,20 @@ def _round_trips(n: int, drawn: _Drawn, objects, check, there, back, label) -> I
     fails the trip instead."""
     for x in drawn(objects):
         if refusal := _refusal(check, x):
-            yield f"n={n}: {label(x)}: {refusal}"
+            yield f"{label(x)}: {refusal}"
             continue
         try:
             survives = back(*there(x)) == x
         except LookupError:
             survives = False
         if not survives:
-            yield f"n={n}: {label(x)} does not survive the round trip"
+            yield f"{label(x)} does not survive the round trip"
     for F, L, g in drawn(_plain._gbsps(n)):
         y = back(F, L, g)
         if refusal := _refusal(check, y):
-            yield f"n={n}: {_plain._paren_text(n, F, L, g)} maps to {label(y)}: {refusal}"
+            yield f"{_plain._paren_text(n, F, L, g)} maps to {label(y)}: {refusal}"
         elif there(y) != (F, L, g):
-            text = _plain._paren_text(n, F, L, g)
-            yield f"n={n}: {text} does not survive the reverse round trip"
+            yield f"{_plain._paren_text(n, F, L, g)} does not survive the reverse round trip"
 
 
 def _check_lemma3_12(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -341,9 +337,9 @@ def _check_lemma3_13(n: int, drawn: _Drawn) -> Iterator[str]:
     """Each generated partition passes `_as_partition`; balance runs on plain (n, F, L)."""
     for blocks in drawn(_plain._partition_blocks(n)):
         if refusal := _refusal(_as_partition, n, blocks):
-            yield f"n={n}: partition {_plain._blocks_text(blocks)}: {refusal}"
+            yield f"partition {_plain._blocks_text(blocks)}: {refusal}"
         elif not _plain._is_balanced(n, *_plain._min_max(blocks)):
-            yield f"n={n}: minima/maxima of {_plain._blocks_text(blocks)} are not balanced"
+            yield f"minima/maxima of {_plain._blocks_text(blocks)} are not balanced"
 
 
 def _check_lemma3_14(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -352,10 +348,10 @@ def _check_lemma3_14(n: int, drawn: _Drawn) -> Iterator[str]:
         g = [0 if i in F else 1 for i in range(1, n + 1)]
         blocks = _plain._from_gbsp(n, F, L, g)
         if refusal := _refusal(_as_partition, n, blocks):
-            sp = _plain._paren_text(n, F, L)
-            yield f"n={n}: {sp} maps to partition {_plain._blocks_text(blocks)}: {refusal}"
+            yield (f"{_plain._paren_text(n, F, L)} maps to partition "
+                   f"{_plain._blocks_text(blocks)}: {refusal}")
         elif _plain._min_max(blocks) != (F, L):
-            yield f"n={n}: no partition found with minima/maxima {_plain._paren_text(n, F, L)}"
+            yield f"no partition found with minima/maxima {_plain._paren_text(n, F, L)}"
 
 
 def _check_cor3_15(n: int, drawn: _Drawn) -> Iterator[str]:
@@ -391,56 +387,55 @@ def _check_thm3_1(n: int, drawn: _Drawn) -> Iterator[str]:
     for w in drawn(iter_outcome_words(n)):
         walked += 1
         if refusal := _refusal(_plain._as_outcome, w):
-            bad.append(f"n={n}: outcome {w}: {refusal}")
+            bad.append(f"outcome {w}: {refusal}")
             continue
         try:  # a g past the depth sends a leg past its open items, as in `_round_trips`
             b = _plain._from_gbsp(n, *_plain._phi_prime(w))
             if refusal := _refusal(_as_partition, n, b):
-                text = _plain._blocks_text(b)
-                bad.append(f"n={n}: outcome {w} maps to partition {text}: {refusal}")
+                bad.append(f"outcome {w} maps to partition {_plain._blocks_text(b)}: {refusal}")
                 continue
             image.add(b)
             survives = _plain._phi_prime_inv(n, *_plain._to_gbsp(n, b)) == w
         except LookupError:
             survives = False
         if not survives:
-            bad.append(f"n={n}: outcome {w} does not survive the composed round trip")
+            bad.append(f"outcome {w} does not survive the composed round trip")
     if image != set(partitions):
-        bad.append(f"n={n}: outcome-to-partition image misses some partitions")
+        bad.append("outcome-to-partition image misses some partitions")
     for k, noun in ((walked, "outcomes"), (len(partitions), "partitions")):
         if k != expected:
-            yield f"n={n}: {k} {noun}, Bell number is {expected}"
+            yield f"{k} {noun}, Bell number is {expected}"
     yield from bad
 
 
-def _park_problem(n: int, prefs: tuple[int, ...], word) -> str:
+def _park_problem(prefs: tuple[int, ...], word) -> str:
     """What is wrong with `word`, the `_park` of the weakly decreasing staircase
     tuple `prefs`, or "": a failed car, or a word that is no permutation
     (`_check_word`, the check of `park`'s outcome)."""
     if isinstance(word, int):
-        return f"n={n}: weakly decreasing staircase tuple {prefs} failed to park"
+        return f"weakly decreasing staircase tuple {prefs} failed to park"
     if refusal := _refusal(_plain._check_word, word):
-        return f"n={n}: weakly decreasing staircase tuple {prefs} parks to {word}: {refusal}"
+        return f"weakly decreasing staircase tuple {prefs} parks to {word}: {refusal}"
     return ""
 
 
 def _check_prop4_1(n: int, drawn: _Drawn) -> Iterator[str]:
     for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
-        if problem := _park_problem(n, prefs, word):
+        if problem := _park_problem(prefs, word):
             yield problem
         elif _plain._contains_132(word):
-            yield f"n={n}: outcome of {prefs} contains the pattern 132"
+            yield f"outcome of {prefs} contains the pattern 132"
 
 
 def _check_lemma4_2(n: int, drawn: _Drawn) -> Iterator[str]:
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
-        if problem := _park_problem(n, prefs, word):
+        if problem := _park_problem(prefs, word):
             yield problem
         elif word in outcomes:
-            yield f"n={n}: {outcomes[word]} and {prefs} park to the same outcome {word}"
+            yield f"{outcomes[word]} and {prefs} park to the same outcome {word}"
         else:
             outcomes[word] = prefs
 
@@ -451,34 +446,31 @@ def _check_thm4_3(n: int, drawn: _Drawn) -> Iterator[str]:
     wd = list(drawn(_weakly_decreasing_staircase(n)))
     expected = catalan(n)
     if len(wd) != expected:
-        yield f"n={n}: {len(wd)} weakly decreasing staircase tuples, Catalan is {expected}"
+        yield f"{len(wd)} weakly decreasing staircase tuples, Catalan is {expected}"
     wd_parking = {prefs for prefs in _weakly_decreasing(n) if _plain._is_parking_function(prefs)}
     if set(wd) != wd_parking:
-        yield (
-            f"n={n}: weakly decreasing staircase tuples differ from weakly "
-            "decreasing parking functions"
-        )
+        yield "weakly decreasing staircase tuples differ from weakly decreasing parking functions"
     words = []
     for prefs in wd:
         word = _plain._park(prefs)
-        if problem := _park_problem(n, prefs, word):
+        if problem := _park_problem(prefs, word):
             yield problem
         else:
             words.append(word)
     image = set(words)
     if len(image) != len(words):
-        yield f"n={n}: parking is not injective on weakly decreasing tuples"
+        yield "parking is not injective on weakly decreasing tuples"
     avoiders = _avoiders(n, _plain._contains_132)
     drawn.count += len(avoiders)
     for w in sorted(image - avoiders):
-        yield f"n={n}: weakly decreasing outcome {w} contains 132"
+        yield f"weakly decreasing outcome {w} contains 132"
     for w in sorted(avoiders - image):
-        yield f"n={n}: 132-avoider {w} is not a weakly decreasing outcome"
+        yield f"132-avoider {w} is not a weakly decreasing outcome"
 
 
-def _row_mismatches(n: int, row: list[int], expected: list[int], source: str) -> list[str]:
+def _row_mismatches(row: list[int], expected: list[int], source: str) -> list[str]:
     return [
-        f"n={n}: the occupied-spot count gives {got} outcomes with {k} peaks, {source} {want}"
+        f"the occupied-spot count gives {got} outcomes with {k} peaks, {source} {want}"
         for k, (got, want) in enumerate(itertools.zip_longest(row, expected, fillvalue=0))
         if got != want
     ]
@@ -488,13 +480,13 @@ def _check_stirling(n: int, drawn: _Drawn) -> Iterator[str]:
     row = outcome_peak_counts(n)
     drawn.count += len(row)
     if sum(row) != bell(n):
-        yield f"n={n}: the occupied-spot count gives {sum(row)} outcomes, Bell is {bell(n)}"
-    yield from _row_mismatches(n, row, _stirling_row(n), "S(n, k) is")
+        yield f"the occupied-spot count gives {sum(row)} outcomes, Bell is {bell(n)}"
+    yield from _row_mismatches(row, _stirling_row(n), "S(n, k) is")
     if n <= 9:  # the walk: column c is a peak iff w[c - 1] >= n - c + 1
         walked = [0] * (n + 1)
         for w in drawn(iter_outcome_words(n)):
             walked[sum(v >= n - c for c, v in enumerate(w))] += 1
-        yield from _row_mismatches(n, row, walked, "the walk finds")
+        yield from _row_mismatches(row, walked, "the walk finds")
 
 
 def _follows_the_peak_rule(w: tuple[int, ...]) -> bool:
@@ -519,12 +511,13 @@ def _check_peaks(n: int, drawn: _Drawn) -> Iterator[str]:
         certified = not _refusal(_plain._certify, w)
         if certified != _follows_the_peak_rule(w):
             verdict = "accepts" if certified else "refuses"
-            yield f"n={n}: the certifier {verdict} {w}, which the peak rule does not"
+            yield f"the certifier {verdict} {w}, which the peak rule does not"
 
 
 _Check = Callable[[int, _Drawn], Iterable[str]]
 
-# theorem id -> (what the check verifies, default n_max, check)
+# theorem id -> (what the check verifies, default n_max, check); a check yields each
+# discrepancy without its n, and `verify` stamps it `n=<n>: `
 _CHECKS: dict[str, tuple[str, int, _Check]] = {
     "lemma1.2": ("every staircase tuple is a parking function", 8, _check_lemma1_2),
     "thm2.4": ("parked outcomes = arm-leg pattern avoiders", 7, _check_thm2_4),
@@ -576,7 +569,7 @@ def verify(theorem: str, n_max: int | None = None) -> VerificationReport:
     n_max = default_max if n_max is None else _size(n_max, "n_max")
     start = time.perf_counter()
     drawn = _Drawn()
-    discrepancies = tuple(line for n in range(n_max + 1) for line in check(n, drawn))
+    discrepancies = tuple(f"n={n}: {line}" for n in range(n_max + 1) for line in check(n, drawn))
     return VerificationReport(
         theorem=theorem,
         n_max=n_max,

@@ -22,22 +22,10 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import _plain
+from . import _EXPORTS, _plain
 from .errors import _index, _int_pairs
 
-__all__ = [
-    "SpacedParen",
-    "MatchedPairs",
-    "GBsp",
-    "depth",
-    "depths",
-    "is_balanced",
-    "matching_pairs",
-    "render",
-    "parse",
-    "enumerate_bsps",
-    "enumerate_gbsps",
-]
+__all__ = _EXPORTS["paren"]
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _plain
+from . import _EXPORTS, _plain
 from .permutation import InversionTable, Permutation, _IntWord, contains_armleg_pattern, inverse
 
-__all__ = [
-    "PrefTuple",
-    "ParkOutcome",
-    "park",
-    "is_parking_function",
-    "is_lehmer",
-    "is_weakly_decreasing",
-    "lehmer_from_inversion_table",
-    "canonical_lehmer_preimage",
-]
+__all__ = _EXPORTS["parking"]
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _plain
+from . import _EXPORTS, _plain
 from .errors import _index, _json_array, _size
 
-__all__ = [
-    "Permutation",
-    "InversionTable",
-    "identity",
-    "inverse",
-    "inversion_table",
-    "from_inversion_table",
-    "contains_pattern_132",
-    "contains_armleg_pattern",
-]
+__all__ = _EXPORTS["permutation"]
 
 
 class _IntWord:

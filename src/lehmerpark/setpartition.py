@@ -12,17 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import _plain
+from . import _EXPORTS, _plain
 from .errors import _index
 from .paren import GBsp, SpacedParen, _gbsp, _gbsp_values
 
-__all__ = [
-    "SetPartition",
-    "min_max",
-    "to_gbsp",
-    "from_gbsp",
-    "enumerate_partitions",
-]
+__all__ = _EXPORTS["setpartition"]
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,12 @@ def test_peaks_from_pairs_rejects_points_outside_grid():
         peaks_from_pairs(MatchedPairs(((2, 4),)), 3)  # column 4 on a 3-grid
 
 
+def test_peaks_from_pairs_refuses_duplicate_pairs():
+    # two equal pairs would give one point, so the diagram would lose a pair
+    with pytest.raises(ValueError, match="^duplicate pairs$"):
+        peaks_from_pairs([(1, 1), (1, 1)], 1)
+
+
 def test_depth_at_counts_box():
     t = peaks(Permutation((3, 4, 1, 5, 2, 6)))
     assert [depth_at(t, i) for i in range(1, 7)] == [1, 2, 2, 2, 2, 1]

@@ -317,8 +317,23 @@ def test_verify_discrepancy_exits_2(capsys, monkeypatch):
     )
     captured = run_cli(capsys, "verify", "lemma3.4", expect=2)
     report = json.loads(captured.out)
-    assert report["pass"] is False and report["discrepancies"] == ["bad at n=2"]
-    assert "FAIL" in captured.err and "bad at n=2" in captured.err
+    assert report["pass"] is False and report["discrepancies"] == ["n=2: bad at n=2"]
+    assert "FAIL" in captured.err and "n=2: bad at n=2" in captured.err
+
+
+def test_verify_stamps_each_line_of_a_check_with_its_n_in_order(capsys, monkeypatch):
+    # a check yields its lines without their n; verify stamps each, in n order and then
+    # in the order the check yields them, and the stderr summary lists them the same way
+    def planted(n, drawn):
+        if n in (0, 2):
+            yield f"first of {n}"
+            yield f"second of {n}"
+
+    monkeypatch.setitem(enumeration._CHECKS, "lemma3.4", ("planted failure", 3, planted))
+    captured = run_cli(capsys, "verify", "lemma3.4", expect=2)
+    lines = ["n=0: first of 0", "n=0: second of 0", "n=2: first of 2", "n=2: second of 2"]
+    assert json.loads(captured.out)["discrepancies"] == lines
+    assert captured.err.splitlines()[1:] == [f"  {line}" for line in lines]
 
 
 def test_verify_reports_a_leg_output_that_is_no_outcome(capsys, monkeypatch):

@@ -344,9 +344,13 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
     (PartialArmLegDiagram, (2, [1]), "entry 1 of points must be a pair of integers, got 1"),
     (GBsp, (SpacedParen(2, [1], [2]), [3]), "entry 1 of g must be a pair of integers, got 3"),
     (MatchedPairs, (iter([(1, 2), 5]),), "pairs must be pairs of integers"),
+    (PartialArmLegDiagram, (2, 5), "points must be a sequence, got 5"),
+    (MatchedPairs, (5,), "pairs must be a sequence, got 5"),
+    (GBsp, (SpacedParen(2, [1], [2]), 5), "g must be a sequence, got 5"),
+    (PartialArmLegDiagram, (2, iter([1])), "entry 1 of points must be a pair of integers, got 1"),
 ], ids=[
     "perm", "prefs", "paren-F", "partition", "partition-flat", "partition-block", "pairs",
-    "armleg", "gbsp", "pairs-iterator",
+    "armleg", "gbsp", "pairs-iterator", "armleg-int", "pairs-int", "gbsp-int", "armleg-iterator",
 ])
 def test_constructors_refuse_a_value_that_is_no_sequence(cls, args, message):
     # worded like every other refusal, not the bare TypeError of tuple(5); an iterator

@@ -4,6 +4,7 @@ recursion, no network or XML stack loaded by the CLI, and no module loaded that
 a verb does not run."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+import lehmerpark
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lehmerpark"
 
@@ -39,10 +42,21 @@ def test_every_import_is_package_relative_or_stdlib():
     assert outside == []
 
 
+def _exports(trees) -> dict[str, tuple[str, ...]]:
+    """The package's table `_EXPORTS`, read from the syntax tree of __init__.py."""
+    return next(
+        ast.literal_eval(node.value) for path, tree in trees if path.name == "__init__.py"
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS"
+    )
+
+
 def test_every_imported_name_is_used_or_exported():
     # __init__.py imports only to re-export, so it is exempt
     unused = []
-    for path, tree in _parsed():
+    trees = _parsed()
+    exports = _exports(trees)
+    for path, tree in trees:
         if path.name == "__init__.py":
             continue
         imported = []
@@ -57,9 +71,22 @@ def test_every_imported_name_is_used_or_exported():
             elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
-                read.update(ast.literal_eval(node.value))
+                # a literal list, or `_EXPORTS["m"]`: the package's names of module m
+                value = node.value
+                is_row = isinstance(value, ast.Subscript)
+                read.update(exports[value.slice.value] if is_row else ast.literal_eval(value))
         unused += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unused == []
+
+
+def test_verify_alone_stamps_n_on_a_discrepancy():
+    # a check yields its lines without their n, and the per-n loop of `verify` adds it
+    source = (SOURCE / "enumeration.py").read_text()
+    verify = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify"
+    )
+    assert source.count("n={n}: ") == ast.get_source_segment(source, verify).count("n={n}: ") == 1
 
 
 def test_no_top_level_function_or_class_is_defined_in_two_modules():
@@ -189,6 +216,18 @@ EXPORTED = {
     "setpartition": "SetPartition enumerate_partitions from_gbsp min_max to_gbsp",
 }
 
+# the modules that define the dataclasses
+OBJECT_MODULES = {"armleg", "bijection", "paren", "parking", "permutation", "setpartition"}
+
+
+@pytest.mark.parametrize("module", sorted(OBJECT_MODULES))
+def test_an_object_module_exports_the_row_of_the_package_table(module):
+    # `_EXPORTS` is the one list of a module's public names; its `__all__` reads it
+    names = importlib.import_module(f"lehmerpark.{module}").__all__
+    assert names is lehmerpark._EXPORTS[module]
+    assert set(names) == set(EXPORTED[module].split())
+
+
 _LOADED = (
     "import sys; from lehmerpark.cli import main; code = main(sys.argv[1:]); "
     "print(code, sorted(m for m in sys.modules if m == 'dataclasses' or m.startswith('lehmerpark')))"
@@ -204,10 +243,6 @@ _LOADED = (
 def test_counting_verbs_load_only_cli_errors_and_counting(argv):
     last = _probe(_LOADED, *argv).splitlines()[-1]
     assert last == "0 ['lehmerpark', 'lehmerpark.cli', 'lehmerpark.counting', 'lehmerpark.errors']"
-
-
-# the modules that define the dataclasses
-OBJECT_MODULES = {"armleg", "bijection", "paren", "parking", "permutation", "setpartition"}
 
 
 # `_LOADED` with stderr dropped, where verify writes its summary

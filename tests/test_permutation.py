@@ -113,6 +113,17 @@ def test_text_forms():
         Permutation.from_text("1234567891")
 
 
+def test_the_one_line_form_takes_commas_past_n_9():
+    assert str(Permutation(tuple(range(1, 11)))) == "1,2,3,4,5,6,7,8,9,10"
+
+
+def test_json_form_is_an_array():
+    assert Permutation.from_json_obj([2, 1]).word == (2, 1)
+    with pytest.raises(ParseError) as err:
+        Permutation.from_json_obj({"perm": [1]})
+    assert str(err.value) == "expected a permutation as a JSON array, got {'perm': [1]}"
+
+
 def test_inverse_small_cases():
     assert inverse(Permutation((2, 3, 1))).word == (3, 1, 2)
     assert inverse(identity(4)) == identity(4)
