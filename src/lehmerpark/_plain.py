@@ -18,7 +18,7 @@ import itertools
 import math
 import re
 from bisect import bisect, bisect_left, insort
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 
 from .errors import (
@@ -169,10 +169,10 @@ def _contains_armleg(word: tuple[int, ...]) -> bool:
 GridPoint = namedtuple("GridPoint", ["col", "row"])  # a cell (col, row) of the diagram grid
 
 
-def _check_diagram(n, points) -> tuple[int, ...]:
-    """The check of `PartialArmLegDiagram`: the rows by column of the points (col, row),
-    each at or above the antidiagonal of the n-by-n grid and no two in one row or
-    column, or the first error found.  The constructor and the CLI both read through it."""
+def _check_diagram(n, points) -> tuple[frozenset, tuple[int, ...]]:
+    """The check of `PartialArmLegDiagram`: the set of the points (col, row), each at or
+    above the antidiagonal of the n-by-n grid and no two in one row or column, and their
+    rows by column, or the first error found.  The constructor and the CLI read through it."""
     pts = _distinct(list(map(GridPoint._make, _int_pairs(points, "points"))), "points")
     _size(n)
     for c, r in pts:
@@ -183,7 +183,7 @@ def _check_diagram(n, points) -> tuple[int, ...]:
     rows = dict(pts)
     if len(rows) < len(pts) or len(set(rows.values())) < len(rows):
         raise ValueError("two points share a row or column")
-    return tuple(rows.get(c, 0) for c in range(1, n + 1))
+    return pts, tuple(rows.get(c, 0) for c in range(1, n + 1))
 
 
 def _diagram_json(obj) -> tuple:
@@ -469,8 +469,9 @@ def _fiber_base(n: int, F, L) -> tuple[int, frozenset[int], frozenset[int]]:
 
 def _fiber_size(n: int, F, L) -> int:
     """The number of g on the balanced (n, F, L): the product of the depths over
-    spaces outside F, a running product that holds no value per space."""
-    return math.prod(d for i, d in enumerate(_iter_depths(n, F, L), start=1) if i not in F)
+    spaces outside F, one power per distinct depth."""
+    depths = Counter(d for i, d in enumerate(_iter_depths(n, F, L), start=1) if i not in F)
+    return math.prod(d**k for d, k in depths.items())
 
 
 def _fiber_words(n: int, F, L) -> Iterator[tuple[int, ...]]:

@@ -166,7 +166,7 @@ def _read_armleg(text: str) -> tuple[int, ...]:
         return _read_word(text)
     value = _loads(text)
     if "points" in value:
-        return _plain._check_diagram(*_plain._diagram_json(value))
+        return _plain._check_diagram(*_plain._diagram_json(value))[1]
     return _json_word(value, _plain._check_word, "outcome", "perm")
 
 

@@ -35,12 +35,13 @@ class PartialArmLegDiagram:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
-        try:  # read once, for the check and the set below
+        try:  # read once, so that an iterator's bad entry is found by its position
             points = tuple(self.points)
         except TypeError:
             raise _not_a_sequence(self.points, "points") from None
-        object.__setattr__(self, "_rows", _plain._check_diagram(self.n, points))
-        object.__setattr__(self, "points", frozenset(map(GridPoint._make, points)))
+        points, rows = _plain._check_diagram(self.n, points)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_rows", rows)
 
     def sorted_points(self) -> list[GridPoint]:
         return sorted(self.points)

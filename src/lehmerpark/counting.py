@@ -13,12 +13,18 @@ lands in a later column and crosses i, and if no peak skips one, each peak's
 interval lies to its left, so nothing crosses.  The walk gives column c, depth
 first on an explicit stack, each unused value in increasing order up to the
 first one >= n - c + 1; c of the values are >= n - c + 1 and c - 1 are used, so
-it meets no dead end.  A walked word is the list of its own choices, so each
-of the Bell(n) outcomes comes once, with no global set, in the sum of the
-Bell-sized levels rather than n!.  Parking obeys the same rule with cars and
-spots swapped (car k takes a free spot below n - k + 1 or the first free spot
-at or past it), so the outcomes are closed under inversion.  `outcome_words`
-collects the walk into a set.
+it meets no dead end, and column n takes the one value left.  A walked word is
+the list of its own choices, so each of the Bell(n) outcomes comes once, with
+no global set, in the sum of the Bell-sized levels rather than n!.  The unused
+values form a doubly linked list (Knuth's dancing links): a column unlinks its
+value and relinks it when it moves on, last in, first out, so a step is O(1).
+The walk keeps each word's text up to each of its last `_CACHED` columns and
+joins the columns before them only when the first of those is assigned, so a
+word costs one concatenation, the first O(n), and the state O(_CACHED n).  The
+text is a tuple for `iter_outcome_words` and a JSON line for `_outcome_lines`.
+Parking obeys the same rule with cars and spots swapped (car k takes a free
+spot below n - k + 1 or the first free spot at or past it), so the outcomes are
+closed under inversion.  `outcome_words` collects the walk into a set.
 
 `outcome_peak_counts(n)` counts the parking run's landings without reaching
 the outcomes: a sweep over the spots from n down to 1 defers each landing
@@ -47,37 +53,64 @@ def _staircase(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(1, n - i + 2) for i in range(1, _size(n) + 1)))
 
 
-def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield each outcome word of the n! staircase tuples exactly once, in
-    lexicographic order; the walk holds O(n) state, and the module docstring
-    says why no outcome repeats.
+# the walk keeps the word's prefix up to each of its last _CACHED columns (module docstring)
+_CACHED = 12
 
-    >>> list(iter_outcome_words(3))
-    [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    """
-    if _size(n) == 0:
-        yield ()
+
+def _walk(n: int, join, pieces: list, ends: list) -> Iterator:
+    """The outcome words of [n] in lexicographic order, each as `join` of its first
+    columns' values, then `pieces[v]` for each later value but the last and `ends[v]`
+    for the last; for n <= 1 the one word is `join(()) + ends[n]`."""
+    if n <= 1:
+        yield join(()) + ends[n]
         return
-    column = [0] * (n + 1)  # column[v] = column holding value v, or 0
-    word = [0] * (n + 1)  # word[c] = column c's current value, 0 before its first
+    nxt, prv = list(range(1, n + 2)), list(range(-1, n + 1))  # the unused values, linked from 0
+    word = [0] * n  # word[c] = column c's current value, 0 before its first
+    low = max(n - _CACHED, 0)
+    prefix = [join(())] * n  # prefix[c] = the word up to column c, for c >= low
     c = 1
     while c:
         v = word[c]
-        if v:
-            column[v] = 0
+        if v:  # relink v: the columns past c freed theirs last in, first out
+            nxt[prv[v]] = prv[nxt[v]] = v
             if v >= n - c + 1:  # the least unused value at or past the bound ends column c
                 word[c] = 0
                 c -= 1
                 continue
-        v += 1
-        while column[v]:
-            v += 1
-        column[v] = c
-        word[c] = v
-        if c == n:
-            yield tuple(word[1:])
+        v = word[c] = nxt[v]  # the next unused value, or the least when v = 0
+        nxt[prv[v]], prv[nxt[v]] = nxt[v], prv[v]
+        if c >= low:
+            prefix[c] = prefix[c - 1] + pieces[v] if c > low else join(word[1:c + 1])
+        if c == n - 1:  # column n takes the one value left
+            yield prefix[c] + ends[nxt[0]]
         else:
             c += 1
+
+
+def iter_outcome_words(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield each outcome word of the n! staircase tuples exactly once, in
+    lexicographic order; the module docstring says why no outcome repeats.
+
+    >>> list(iter_outcome_words(3))
+    [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    units = [()] + [(v,) for v in range(1, _size(n) + 1)]
+    yield from _walk(n, tuple, units, units)
+
+
+def _outcome_lines(n: int) -> Iterator[str]:
+    """The lines of `enumerate outcomes`, from the same walk.
+
+    >>> for line in _outcome_lines(3): print(line)
+    {"outcome":[1,2,3]}
+    {"outcome":[2,1,3]}
+    {"outcome":[2,3,1]}
+    {"outcome":[3,1,2]}
+    {"outcome":[3,2,1]}
+    """
+    pieces = [f"{v}," for v in range(_size(n) + 1)]
+    ends = ["]}"] + [f"{v}]}}" for v in range(1, n + 1)]
+    return _walk(n, lambda vs: '{"outcome":[' + "".join(map(pieces.__getitem__, vs)), pieces, ends)
 
 
 def outcome_words(n: int) -> set[tuple[int, ...]]:

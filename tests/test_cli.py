@@ -159,6 +159,14 @@ def test_enumerate_outcomes_sorted(capsys):
     )
 
 
+def test_enumerate_outcomes_writes_the_walked_words_as_json(capsys):
+    # the walk writes each line from its cached prefixes; the JSON encoder gives the same bytes
+    for n in range(10):
+        out = run_cli(capsys, "enumerate", "outcomes", "--n", str(n)).out
+        assert out == "".join(cli._dump({"outcome": list(w)}) + "\n"
+                              for w in counting.iter_outcome_words(n)), f"n={n}"
+
+
 def test_enumerate_counts_match_formulas(capsys):
     for kind, n, expected in (
         ("partitions", 4, 15),

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -449,23 +450,40 @@ def test_huge_balanced_fiber_count_needs_constant_memory():
 @pytest.mark.parametrize("kind", ["lehmer", "outcomes", "partitions", "bsp", "gbsp"])
 def test_running_out_of_memory_is_one_json_error(kind):
     # each family runs out before its first line at this n: most first allocate a list of n
-    # entries (n ranges for lehmer), and partitions holds its first path's growing blocks
+    # entries (n ranges for lehmer, the text of each value for outcomes), and partitions
+    # holds its first path's growing blocks
     done = _run_limited(("enumerate", kind, "--n", "300000000"), 256 << 20)
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", '{"error":"out of memory","code":"memory"}\n'
     )
 
 
-def test_enumerate_outcomes_streams_its_first_line_at_once():
-    # the walk holds O(n) state: no line waits for the 190,899,322 outcomes of [14]
-    args, options = _limited(("enumerate", "outcomes", "--n", "14"), 256 << 20)
+def _first_outcome_line(n, limit):
+    """The first line of `enumerate outcomes --n n` under a cap of `limit` bytes, and the
+    seconds from spawn to it; the child is then killed."""
+    args, options = _limited(("enumerate", "outcomes", "--n", str(n)), limit)
+    start = time.perf_counter()
     with subprocess.Popen(args, stdout=subprocess.PIPE, **options) as child:
         try:
             first = child.stdout.readline()
+            seconds = time.perf_counter() - start
         finally:
             child.kill()
             child.wait(timeout=60)
-    assert first == '{"outcome":[%s]}\n' % ",".join(map(str, range(1, 15)))
+    assert first == '{"outcome":[%s]}\n' % ",".join(map(str, range(1, n + 1)))
+    return seconds
+
+
+def test_enumerate_outcomes_streams_its_first_line_at_once():
+    # the walk holds O(n) state: no line waits for the 190,899,322 outcomes of [14]
+    _first_outcome_line(14, 256 << 20)
+
+
+def test_enumerate_outcomes_writes_its_first_line_at_a_large_n_in_linear_time():
+    # the first line of [30,000] costs O(n), about 0.15 s from spawn: a walk that rescans
+    # the used values in every column takes about 17 s to write it
+    seconds = _first_outcome_line(30_000, 1 << 30)
+    assert seconds < 2.0, f"the first line took {seconds:.2f} s from spawn"
 
 
 def test_count_bell_past_the_ceiling_is_refused_at_once():

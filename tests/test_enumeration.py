@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import lehmerpark._plain as _plain
+import lehmerpark.counting as counting
 import lehmerpark.enumeration as enumeration
 from lehmerpark.enumeration import (
     VerificationReport,
@@ -79,6 +80,17 @@ def test_outcome_words_match_naive_parking():
         assert outcome_words(n) == parked, f"n={n}"
         # the walk yields them in lexicographic order
         assert list(iter_outcome_words(n)) == sorted(parked), f"n={n}"
+
+
+@pytest.mark.parametrize("cached", [1, 2, 3])
+def test_the_walk_joins_its_uncached_columns_again(monkeypatch, cached):
+    # a cache shallower than n makes the walk rejoin the columns before it at small n
+    monkeypatch.setattr(counting, "_CACHED", cached)
+    for n in range(9):
+        words = sorted(naive_outcome_words(n))
+        assert list(iter_outcome_words(n)) == words, f"n={n}"
+        lines = ['{"outcome":[%s]}' % ",".join(map(str, w)) for w in words]
+        assert list(counting._outcome_lines(n)) == lines, f"n={n}"
 
 
 def test_outcomes_are_closed_under_inversion():

@@ -7,6 +7,7 @@ library maps, are held to it on the nested partition and its outcome, reading
 and writing included, the outcome in its text form and as a JSON object.
 `depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
 parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
+The first word of the outcome walk at n = 30,000 is held to it too.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 
 from lehmerpark.bijection import outcome_to_partition, partition_to_outcome, phi_prime
 from lehmerpark.cli import main
+from lehmerpark.counting import iter_outcome_words
 from lehmerpark.paren import SpacedParen, depth
 from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition, to_gbsp
@@ -124,3 +126,13 @@ def test_depth_near_the_start_stops_its_sweep():
     seconds = time.perf_counter() - start
     assert got == [1] * 1000
     assert seconds < BUDGET_S, f"1,000 calls of depth(sp, 1) took {seconds:.2f} s at n = {n}"
+
+
+def test_first_outcome_word_of_a_long_walk():
+    # a walk that rescans the used values pays O(n^2) for its first word: about 10 s here
+    n = 30_000
+    start = time.perf_counter()
+    first = next(iter_outcome_words(n))
+    seconds = time.perf_counter() - start
+    assert first == tuple(range(1, n + 1))
+    assert seconds < BUDGET_S, f"the first outcome word took {seconds:.2f} s at n = {n}"
