@@ -306,14 +306,16 @@ def _is_balanced(n: int, F, L) -> bool:
 def _check_g(n: int, F, L, g) -> list[int]:
     """The check of `GBsp`: g, a mapping or (space, value) pairs, on the checked
     base (n, F, L), as a list aligned to spaces and 0 on F, or the first error
-    found.  The constructor and the CLI both read through it."""
+    found: a bad pair, a repeated, missing or extra space, an unbalanced base
+    (`_is_balanced`), then the first g outside [1, depth] (`_iter_depths`).
+    The constructor and the CLI both read through it."""
     pairs = _int_pairs(g.items() if isinstance(g, Mapping) else g, "g")
     g = dict(pairs)
     if len(g) < len(pairs):
         spaces = sorted(i for i, _ in pairs)
         dup = next(i for i, j in zip(spaces, spaces[1:]) if i == j)
         raise GbspError(f"duplicate g entry for space {dup}", code="g-extra", space=dup)
-    # g is matched with F before the depth sweep, so a huge claimed n fails
+    # g is matched with F before the depth sweeps, so a huge claimed n fails
     # fast: the scan for a missing space stops within |F| + |g| + 1 spaces
     extra = [i for i in g if not 1 <= i <= n or i in F]
     if extra or len(g) != n - len(F):
@@ -322,28 +324,14 @@ def _check_g(n: int, F, L, g) -> list[int]:
             raise GbspError(f"missing g entry for space {missing}", code="g-missing", space=missing)
         extra = min(extra)
         raise GbspError(f"unexpected g entry for space {extra}", code="g-extra", space=extra)
-    # one depth sweep: balance fails at once, while the first g out of range
-    # is kept and reported only once the whole base is known to be balanced.
-    # The depth is at least 1 on F and drops by at most 1 per space, so it can
-    # reach 0 only outside F, where no g value fits in [1, 0].
+    if not _is_balanced(n, F, L):
+        raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
     values = [0] * n
-    out_of_range = None
-    d = 0
-    for i in range(1, n + 1):
-        if i in F:
-            d += 1
-        else:
+    for i, d in enumerate(_iter_depths(n, F, L), start=1):
+        if i not in F:
             v = values[i - 1] = g[i]
             if not 1 <= v <= d:
-                if d < 1:
-                    raise GbspError("base parenthesization is not balanced", code="unbalanced-base")
-                if out_of_range is None:
-                    out_of_range = i, d
-        if i in L:
-            d -= 1
-    if out_of_range is not None:
-        i, d = out_of_range
-        raise GbspError(f"g({i}) = {g[i]} outside [1, {d}]", code="g-out-of-range", space=i)
+                raise GbspError(f"g({i}) = {v} outside [1, {d}]", code="g-out-of-range", space=i)
     return values
 
 

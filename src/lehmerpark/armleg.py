@@ -11,7 +11,8 @@ ends at space c, which ties diagrams to spaced parenthesizations.
 The check, the JSON splitter, the peak reading, the arms and legs, the box
 count and the crossing test run in `_plain` on the plain diagram, its rows by
 column with 0 marking an empty column; this module wraps them in the checked
-`PartialArmLegDiagram`, which keeps the plain diagram its check returns.
+`PartialArmLegDiagram`, which hands its points to the check as given, an
+iterator too, and keeps the plain diagram the check returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from . import _EXPORTS, _plain
 from ._plain import GridPoint
-from .errors import _index, _not_a_sequence
+from .errors import _index
 from .paren import MatchedPairs, SpacedParen
 from .permutation import Permutation
 
@@ -35,11 +36,7 @@ class PartialArmLegDiagram:
     points: frozenset[GridPoint]
 
     def __post_init__(self) -> None:
-        try:  # read once, so that an iterator's bad entry is found by its position
-            points = tuple(self.points)
-        except TypeError:
-            raise _not_a_sequence(self.points, "points") from None
-        points, rows = _plain._check_diagram(self.n, points)
+        points, rows = _plain._check_diagram(self.n, self.points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_rows", rows)
 

@@ -63,7 +63,7 @@ def phi_prime_inv(gb: GBsp) -> OutcomePermutation:
 
 def fiber_size(sp: SpacedParen) -> int:
     """Number of outcomes (equally, partitions) mapping to `sp`: the product of
-    the depths over spaces outside F, a running product that holds no value per space."""
+    the depths over spaces outside F, one power per distinct depth."""
     return _plain._fiber_size(*_plain._fiber_base(sp.n, sp.F, sp.L))
 
 

@@ -176,6 +176,16 @@ def _refusal(check, *args) -> str:
     return ""
 
 
+def _park_problem(noun: str, prefs: tuple[int, ...], word) -> str:
+    """What is wrong with `word`, the `_park` of the {noun} `prefs`, or "": a failed
+    car, or a word that is no permutation (`_check_word`, the check of `park`'s outcome)."""
+    if isinstance(word, int):
+        return f"parking failed for {noun} {prefs}"
+    if refusal := _refusal(_plain._check_word, word):
+        return f"{noun} {prefs} parks to {word}: {refusal}"
+    return ""
+
+
 def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # the check of SetPartition, on plain blocks that must already be in its sorted form
     if _plain._check_blocks(n, blocks) != blocks:
@@ -185,26 +195,22 @@ def _as_partition(n: int, blocks: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
 
 def _check_lemma1_2(n: int, drawn: _Drawn) -> Iterator[str]:
     """Both tests run on the plain staircase tuples.  A tuple that parks must
-    park to a permutation (`_check_word`, the check of `park`'s outcome)."""
+    park to a permutation (`_park_problem`)."""
     for prefs in drawn(_staircase(n)):
         if not _plain._is_parking_function(prefs):
             yield f"staircase tuple {prefs} fails the sorted-prefix test"
-            continue
-        word = _plain._park(prefs)
-        if isinstance(word, int):
-            yield f"parking failed for staircase tuple {prefs}"
-        elif refusal := _refusal(_plain._check_word, word):
-            yield f"staircase tuple {prefs} parks to {word}: {refusal}"
+        elif problem := _park_problem("staircase tuple", prefs, _plain._park(prefs)):
+            yield problem
 
 
 def _check_thm2_4(n: int, drawn: _Drawn) -> Iterator[str]:
     """Every staircase tuple is parked; the set of its outcomes is compared with
-    the avoiders.  A car that fails is a discrepancy and its tuple parks to nothing."""
+    the avoiders.  A tuple that `_park_problem` flags is a discrepancy and parks to nothing."""
     parked = set()
     for prefs in _staircase(n):
         word = _plain._park(prefs)
-        if isinstance(word, int):
-            yield f"parking failed for staircase tuple {prefs}"
+        if problem := _park_problem("staircase tuple", prefs, word):
+            yield problem
         else:
             parked.add(word)
     avoiders = _avoiders(n, _plain._contains_armleg)
@@ -408,21 +414,10 @@ def _check_thm3_1(n: int, drawn: _Drawn) -> Iterator[str]:
     yield from bad
 
 
-def _park_problem(prefs: tuple[int, ...], word) -> str:
-    """What is wrong with `word`, the `_park` of the weakly decreasing staircase
-    tuple `prefs`, or "": a failed car, or a word that is no permutation
-    (`_check_word`, the check of `park`'s outcome)."""
-    if isinstance(word, int):
-        return f"weakly decreasing staircase tuple {prefs} failed to park"
-    if refusal := _refusal(_plain._check_word, word):
-        return f"weakly decreasing staircase tuple {prefs} parks to {word}: {refusal}"
-    return ""
-
-
 def _check_prop4_1(n: int, drawn: _Drawn) -> Iterator[str]:
     for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
-        if problem := _park_problem(prefs, word):
+        if problem := _park_problem("weakly decreasing staircase tuple", prefs, word):
             yield problem
         elif _plain._contains_132(word):
             yield f"outcome of {prefs} contains the pattern 132"
@@ -432,7 +427,7 @@ def _check_lemma4_2(n: int, drawn: _Drawn) -> Iterator[str]:
     outcomes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for prefs in drawn(_weakly_decreasing_staircase(n)):
         word = _plain._park(prefs)
-        if problem := _park_problem(prefs, word):
+        if problem := _park_problem("weakly decreasing staircase tuple", prefs, word):
             yield problem
         elif word in outcomes:
             yield f"{outcomes[word]} and {prefs} park to the same outcome {word}"
@@ -453,7 +448,7 @@ def _check_thm4_3(n: int, drawn: _Drawn) -> Iterator[str]:
     words = []
     for prefs in wd:
         word = _plain._park(prefs)
-        if problem := _park_problem(prefs, word):
+        if problem := _park_problem("weakly decreasing staircase tuple", prefs, word):
             yield problem
         else:
             words.append(word)

@@ -3,8 +3,6 @@ constructors and of its size and index arguments."""
 
 from __future__ import annotations
 
-from itertools import chain
-
 
 class LehmerError(ValueError):
     """Base class for domain validation failures; `code` is machine-readable."""
@@ -36,7 +34,6 @@ class GbspError(LehmerError):
 
 
 _INT = frozenset({int})
-_PAIR = frozenset({2})
 
 
 def _int(value, what: str) -> int:
@@ -81,33 +78,25 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
-def _is_int_pair(pair) -> bool:
-    """Whether `pair` unpacks into exactly two integers."""
-    try:
-        a, b = pair
-    except (TypeError, ValueError):  # no sequence, or not two entries
-        return False
-    return type(a) is int and type(b) is int
-
-
 def _int_pairs(values, what: str) -> tuple[tuple[int, int], ...]:
-    """`values` as pairs of integers, such as points or (space, value) entries."""
+    """`values` as pairs of integers, such as points or (space, value) entries.
+    An iterator is read once, and a bad entry is named by its position; a
+    sequence entry is shown as its tuple."""
     try:
-        pairs = tuple(map(tuple, values))
-    except TypeError:  # `values`, or one of its entries, is no sequence: read it again
+        entries = iter(values)
+    except TypeError:
+        raise _not_a_sequence(values, what) from None
+    pairs = []
+    for pos, entry in enumerate(entries, start=1):
         try:
-            read_once = iter(values) is values
-        except TypeError:
-            raise _not_a_sequence(values, what) from None
-        if read_once:  # an iterator, already read past its bad entry
-            raise ParseError(f"{what} must be pairs of integers") from None
-        pairs = values
-    else:
-        if set(map(len, pairs)) <= _PAIR and set(map(type, chain.from_iterable(pairs))) <= _INT:
-            return pairs
-    pos, pair = next((pos, p) for pos, p in enumerate(pairs, start=1) if not _is_int_pair(p))
-    raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",
-                     position=pos)
+            pair = tuple(entry)
+        except TypeError:  # no sequence: shown as itself
+            pair = entry
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+            raise ParseError(f"entry {pos} of {what} must be a pair of integers, got {pair!r}",
+                             position=pos)
+        pairs.append(pair)
+    return tuple(pairs)
 
 
 def _distinct(values, what: str) -> frozenset:

@@ -302,6 +302,26 @@ def test_gbsp_pipeline_is_identity(capsys, monkeypatch):
     assert back == outcomes
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_valid_pipeline_lines_take_the_one_pass_readers(capsys, monkeypatch, n):
+    # a valid line goes through `_gbsp_in_one_pass` or `_read_outcome`'s shortcut, never
+    # through the checks that word a refusal: a silent fall back would pass every other test
+    outcomes = run_cli(capsys, "enumerate", "outcomes", "--n", str(n)).out
+    expected = {verb: run_cli(capsys, verb, stdin=outcomes, monkeypatch=monkeypatch).out
+                for verb in ("to-gbsp", "to-partition")}
+
+    def unreachable(*args):
+        raise AssertionError("a valid line reached a check that words refusals")
+
+    for module, name in ((_plain, "_check_g"), (_plain, "_check_paren"), (_plain, "_g_json"),
+                         (_plain, "_int_pairs"), (_readers, "_json_word")):
+        monkeypatch.setattr(module, name, unreachable)
+    for verb, lines in expected.items():
+        assert run_cli(capsys, verb, stdin=outcomes, monkeypatch=monkeypatch).out == lines
+    gbsps = expected["to-gbsp"]
+    assert run_cli(capsys, "from-gbsp", stdin=gbsps, monkeypatch=monkeypatch).out == outcomes
+
+
 def test_verify_pass(capsys):
     captured = run_cli(capsys, "verify", "thm2.4", "--n-max", "4")
     report = json.loads(captured.out)

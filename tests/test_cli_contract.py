@@ -344,7 +344,7 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
     (MatchedPairs, ([1],), "entry 1 of pairs must be a pair of integers, got 1"),
     (PartialArmLegDiagram, (2, [1]), "entry 1 of points must be a pair of integers, got 1"),
     (GBsp, (SpacedParen(2, [1], [2]), [3]), "entry 1 of g must be a pair of integers, got 3"),
-    (MatchedPairs, (iter([(1, 2), 5]),), "pairs must be pairs of integers"),
+    (MatchedPairs, (iter([(1, 2), 5]),), "entry 2 of pairs must be a pair of integers, got 5"),
     (PartialArmLegDiagram, (2, 5), "points must be a sequence, got 5"),
     (MatchedPairs, (5,), "pairs must be a sequence, got 5"),
     (GBsp, (SpacedParen(2, [1], [2]), 5), "g must be a sequence, got 5"),
@@ -354,11 +354,29 @@ def test_constructors_refuse_instead_of_coercing(cls, args):
     "armleg", "gbsp", "pairs-iterator", "armleg-int", "pairs-int", "gbsp-int", "armleg-iterator",
 ])
 def test_constructors_refuse_a_value_that_is_no_sequence(cls, args, message):
-    # worded like every other refusal, not the bare TypeError of tuple(5); an iterator
-    # already read past its bad entry cannot name it
+    # worded like every other refusal, not the bare TypeError of tuple(5); an iterator's
+    # bad entry is named by its position, as a list's is
     with pytest.raises(ParseError) as err:
         cls(*args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    MatchedPairs,
+    lambda entries: GBsp(SpacedParen(2, [1], [2]), entries),
+    lambda entries: PartialArmLegDiagram(2, entries),
+], ids=["pairs", "gbsp", "armleg"])
+@pytest.mark.parametrize("entries", [
+    [5], [(2, 2), 5], [(2, 2), (1, 3.0)], [(2, True)], [(2, 2, 2)], [[2, 2], "ab"], [(2, 2), (2, 2)],
+], ids=["int", "int-second", "float", "bool", "triple", "str", "repeat"])
+def test_an_iterator_is_refused_as_the_list_of_its_entries(make, entries):
+    # read once and scanned once: the same class, message and position either way
+    refusals = []
+    for values in (list(entries), iter(entries)):
+        with pytest.raises(ValueError) as err:
+            make(values)
+        refusals.append((type(err.value), str(err.value), getattr(err.value, "position", None)))
+    assert refusals[0] == refusals[1]
 
 
 _WORD = Permutation((2, 3, 1))

@@ -389,7 +389,7 @@ def test_failing_check_reports_every_object(monkeypatch):
         "n=3: parking failed for staircase tuple (3, 2, 1)",
     )
     failed = tuple(
-        f"n={n}: weakly decreasing staircase tuple {prefs} failed to park"
+        f"n={n}: parking failed for weakly decreasing staircase tuple {prefs}"
         for n, prefs in ((0, ()), (1, (1,)), (2, (2, 1)), (2, (1, 1)))
     )
     for theorem in ("prop4.1", "lemma4.2"):
@@ -509,6 +509,12 @@ def test_arm_leg_check_parks_every_staircase_tuple(monkeypatch):
         "n=2: parking failed for staircase tuple (2, 1)",
         "n=2: (2, 1) avoids the arm-leg pattern but never parks",
     )
+    # so is a word that is no permutation, and it is kept out of the parked outcomes
+    monkeypatch.setattr(_plain, "_park", lambda prefs: (1, 1) if prefs == (2, 1) else park(prefs))
+    assert verify("thm2.4", 2).discrepancies == (
+        "n=2: staircase tuple (2, 1) parks to (1, 1): not a permutation of [2]: (1, 1)",
+        "n=2: (2, 1) avoids the arm-leg pattern but never parks",
+    )
 
 
 def test_report_json_shape():
@@ -564,3 +570,103 @@ def test_an_image_with_unequal_f_and_l_is_a_discrepancy(monkeypatch, theorem, st
 
     monkeypatch.setattr(_plain, stub, leg)
     assert verify(theorem, 3).discrepancies == lines
+
+
+_walk, _park, _from_gbsp = enumeration.iter_outcome_words, _plain._park, _plain._from_gbsp
+_blocks, _wd = _plain._partition_blocks, enumeration._weakly_decreasing_staircase
+
+
+def _walk_with_a_repeat(n):  # (2, 1) comes out as (1, 1), which is no permutation
+    return ((1, 1) if w == (2, 1) else w for w in _walk(n))
+
+
+def _blocks_unsorted(n):  # {1}|{2} comes out with its blocks swapped
+    return (((2,), (1,)) if b == ((1,), (2,)) else b for b in _blocks(n))
+
+
+def _park_to_a_repeat(prefs):  # (1, 1) parks to (1, 1), which is no permutation
+    return (1, 1) if prefs == (1, 1) else _park(prefs)
+
+
+def _reversed_blocks(n, F, L, g):
+    return _from_gbsp(n, F, L, g)[::-1]
+
+
+_NOT_A_PERMUTATION = "not a permutation of [2]: (1, 1)"
+_UNSORTED = "n=2: partition {2}|{1}: blocks are not in sorted form"
+_WD_PARKS = f"n=2: weakly decreasing staircase tuple (1, 1) parks to (1, 1): {_NOT_A_PERMUTATION}"
+
+# one planted fault per row: (theorem, n_max, module, name, stub, the exact discrepancies)
+PLANTED_FAULTS = {
+    "lemma1.2-prefix": ("lemma1.2", 1, _plain, "_is_parking_function", lambda prefs: False, (
+        "n=0: staircase tuple () fails the sorted-prefix test",
+        "n=1: staircase tuple (1,) fails the sorted-prefix test",
+    )),
+    "thm2.4-pattern": (
+        "thm2.4", 3, _plain, "_park", lambda p: (1, 3, 2) if p == (1, 1, 1) else _park(p),
+        ("n=3: (1, 3, 2) parked but contains the arm-leg pattern",),
+    ),
+    "lemma3.7": ("lemma3.7", 1, _plain, "_pairs_diagram", lambda n, pairs: (0,) * n, (
+        "n=1: pairs of (_) do not reproduce its arms and legs",
+        "n=1: 1 non-intersecting diagrams share arms/legs F=[1], L=[1]; "
+        "expected exactly the constructed one",
+    )),
+    "lemma3.9": (
+        "lemma3.9", 1, _plain, "_phi_prime", lambda w: (frozenset(), frozenset(), ()),
+        ("n=1: filling of (_) has wrong arms/legs",),
+    ),
+    "cor3.10": ("cor3.10", 2, enumeration, "iter_outcome_words", _walk_with_a_repeat, (
+        f"n=2: outcome (1, 1): {_NOT_A_PERMUTATION}",
+        "n=2: fiber of F=[1, 2], L=[1, 2] has 0 outcomes, product of depths gives 1",
+    )),
+    "lemma3.12": ("lemma3.12", 2, enumeration, "iter_outcome_words", _walk_with_a_repeat, (
+        f"n=2: outcome (1, 1): {_NOT_A_PERMUTATION}",
+    )),
+    "lemma3.13": ("lemma3.13", 2, _plain, "_partition_blocks", _blocks_unsorted, (_UNSORTED,)),
+    "cor3.15": ("cor3.15", 2, _plain, "_partition_blocks", _blocks_unsorted, (
+        _UNSORTED, "n=2: F=[1, 2], L=[1, 2] has 0 partitions, product of depths gives 1",
+    )),
+    "lemma3.16": ("lemma3.16", 2, _plain, "_partition_blocks", _blocks_unsorted, (_UNSORTED,)),
+    "lemma3.14-refused": ("lemma3.14", 2, _plain, "_from_gbsp", _reversed_blocks, (
+        "n=2: (_) (_) maps to partition {2}|{1}: blocks are not in sorted form",
+    )),
+    "lemma3.14-minima": (  # every base maps to the partition into singletons
+        "lemma3.14", 2, _plain, "_from_gbsp", lambda n, F, L, g: tuple(zip(range(1, n + 1))),
+        ("n=2: no partition found with minima/maxima (_ _)",),
+    ),
+    "thm3.1-outcome": ("thm3.1", 2, enumeration, "iter_outcome_words", _walk_with_a_repeat, (
+        f"n=2: outcome (1, 1): {_NOT_A_PERMUTATION}",
+        "n=2: outcome-to-partition image misses some partitions",
+    )),
+    "thm3.1-partition": ("thm3.1", 2, _plain, "_from_gbsp", _reversed_blocks, (
+        "n=2: outcome (2, 1) maps to partition {2}|{1}: blocks are not in sorted form",
+        "n=2: outcome-to-partition image misses some partitions",
+    )),
+    "prop4.1": ("prop4.1", 2, _plain, "_park", _park_to_a_repeat, (_WD_PARKS,)),
+    "lemma4.2": ("lemma4.2", 2, _plain, "_park", _park_to_a_repeat, (_WD_PARKS,)),
+    "thm4.3-park": ("thm4.3", 2, _plain, "_park", _park_to_a_repeat, (
+        _WD_PARKS, "n=2: 132-avoider (1, 2) is not a weakly decreasing outcome",
+    )),
+    "thm4.3-count": (
+        "thm4.3", 2, enumeration, "_weakly_decreasing_staircase",
+        lambda n: (p for p in _wd(n) if p != (1, 1)), (
+            "n=2: 1 weakly decreasing staircase tuples, Catalan is 2",
+            "n=2: weakly decreasing staircase tuples differ from "
+            "weakly decreasing parking functions",
+            "n=2: 132-avoider (1, 2) is not a weakly decreasing outcome",
+        ),
+    ),
+    "stirling-bell": ("stirling", 0, enumeration, "outcome_peak_counts", lambda n: [2], (
+        "n=0: the occupied-spot count gives 2 outcomes, Bell is 1",
+        "n=0: the occupied-spot count gives 2 outcomes with 0 peaks, S(n, k) is 1",
+        "n=0: the occupied-spot count gives 2 outcomes with 0 peaks, the walk finds 1",
+    )),
+}
+
+
+@pytest.mark.parametrize("theorem, n_max, module, name, stub, lines", PLANTED_FAULTS.values(),
+                         ids=PLANTED_FAULTS)
+def test_each_check_words_a_planted_fault_exactly(monkeypatch, theorem, n_max, module, name, stub,
+                                                  lines):
+    monkeypatch.setattr(module, name, stub)
+    assert verify(theorem, n_max).discrepancies == lines
