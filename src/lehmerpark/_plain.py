@@ -290,17 +290,9 @@ def _iter_depths(n: int, F, L) -> Iterator[int]:
 
 
 def _is_balanced(n: int, F, L) -> bool:
-    """`is_balanced` on plain (n, F, L), F and L as sets: the `_iter_depths`
-    sweep as a loop, which `verify` runs once per partition."""
-    d = 0
-    for i in range(1, n + 1):
-        if i in F:
-            d += 1
-        if d < 1:
-            return False
-        if i in L:
-            d -= 1
-    return True
+    """`is_balanced` on plain (n, F, L), F and L as sets: every depth of the
+    `_iter_depths` sweep is positive; the sweep stops at the first that is not."""
+    return all(d > 0 for d in _iter_depths(n, F, L))
 
 
 def _check_g(n: int, F, L, g) -> list[int]:

@@ -24,13 +24,13 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 
 # the standard library, errors and counting only: every other module is imported
 # inside the handler of a verb that runs it, once per process
 from .counting import _outcome_lines, _staircase, bell, catalan, outcome_peak_counts
-from .errors import LehmerError
+from .errors import LehmerError, _size
 
 
 # the C encoder that json.dumps(obj, separators=(",", ":")) builds on every call, built
@@ -94,13 +94,19 @@ def _reads(value: str | None) -> Iterator[list[str]]:
         yield [last]
 
 
+def _each_value(args, lines: Callable[[str], Iterable[str]]) -> int:
+    """Writes the `lines` of each input value; the replies to the values that one
+    read completes are written together."""
+    for texts in _reads(args.value):
+        _write(chain.from_iterable(map(lines, texts)))
+    return 0
+
+
 def _cmd_transform(args) -> int:
     from ._readers import _TRANSFORMS
 
     read, apply = _TRANSFORMS[getattr(args, "direction", args.verb)]
-    for texts in _reads(args.value):
-        _write(_dump(apply(read(text))) for text in texts)
-    return 0
+    return _each_value(args, lambda text: (_dump(apply(read(text))),))
 
 
 # the keys of `_readers._CHECKS`, listed here so that the parser loads neither `_readers`
@@ -111,10 +117,8 @@ _CHECK_KINDS = ("lehmer", "outcome-membership", "parking-function", "weakly-decr
 def _cmd_check(args) -> int:
     from ._readers import _CHECKS
 
-    run = _CHECKS[args.kind]
-    for texts in _reads(args.value):
-        _write(_dump({"value": text, "check": args.kind, "ok": run(text)}) for text in texts)
-    return 0
+    kind, run = args.kind, _CHECKS[args.kind]
+    return _each_value(args, lambda text: (_dump({"value": text, "check": kind, "ok": run(text)}),))
 
 
 def _int_text(value: int) -> str:
@@ -128,11 +132,11 @@ def _int_text(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-# a fiber size of more digits is refused: the slowest sizes under it, all depths 2 outside F
-# at n = 199,318 or the nested base F = {1..15,300}, run from spawn to exit in about 0.3 s
-# (median of 5, no cached bytecode, Python 3.11.7, 2 shared cores), most of it the decimal
-# text; the ceiling and the refusal's wording are kept as they were set at about 1 s
-_FIBER_MAX_DIGITS = 60_000
+# a fiber size of more digits is refused: the slower worst case at the ceiling, the nested
+# base F = {1..40,713}, runs from spawn to exit in about 1 s (medians of 7 spawns of 0.91 and
+# 1.04 s in two runs, base on stdin, no cached bytecode, Python 3.11.7, 2 shared cores), and
+# all depths 2 outside F = {1, 2}, at n = 564,730, in 0.74 to 0.83 s
+_FIBER_MAX_DIGITS = 170_000
 
 
 def _cmd_fiber(args) -> int:
@@ -148,18 +152,12 @@ def _cmd_fiber(args) -> int:
             words = _plain._fiber_words(*base)
             return (_dump({"outcome": list(_plain._as_outcome(w))}) for w in words)
         depths = (d for i, d in enumerate(_plain._iter_depths(*base), start=1) if i not in F)
-        digits = math.floor(sum(map(math.log10, depths))) + 1
-        if digits > _FIBER_MAX_DIGITS:  # known from the depths before their product is formed
-            raise LehmerError(
-                f"a fiber size of {digits} digits is past the ceiling of {_FIBER_MAX_DIGITS} "
-                "digits of `fiber --count`, whose product of depths and decimal text take "
-                "about a second there"
-            )
+        digits = math.floor(sum(map(math.log10, depths))) + 1  # known before the product
+        _size(digits, "digits", ceiling=_FIBER_MAX_DIGITS,
+              cost="`fiber --count`, whose product of depths and decimal text")
         return [_int_text(_plain._fiber_size(*base))]
 
-    for texts in _reads(args.value):
-        _write(chain.from_iterable(map(lines, texts)))
-    return 0
+    return _each_value(args, lines)
 
 
 def _partition_objs(n: int) -> Iterator[dict]:
@@ -249,9 +247,7 @@ def _cmd_render(args) -> int:
     else:
         read = lambda text: _plain._paren_text(*_paren_parts(text))
         draw = paren_svg if svg else paren_ascii
-    for texts in _reads(args.value):
-        _write(draw(read(text)) for text in texts)
-    return 0
+    return _each_value(args, lambda text: (draw(read(text)),))
 
 
 class _UsageError(LehmerError):

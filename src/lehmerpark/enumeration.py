@@ -149,21 +149,9 @@ def _weakly_decreasing(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _weakly_decreasing_staircase(n: int) -> Iterator[tuple[int, ...]]:
-    """The Catalan-many weakly decreasing staircase tuples, in decreasing
-    lexicographic order: the rightmost entry above 1 steps down, and each entry
-    after it takes the largest value left, the smaller of its left neighbour and
-    its bound n - i + 1."""
-    a = list(range(n, 0, -1))  # the largest: every entry at its bound
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i >= 0 and a[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        a[i] -= 1
-        for j in range(i + 1, n):
-            a[j] = min(a[j - 1], n - j)
+    """The Catalan-many weakly decreasing staircase tuples, each a_i <= n - i + 1
+    (`_plain._is_lehmer`), in the decreasing lexicographic order of `_weakly_decreasing`."""
+    return filter(_plain._is_lehmer, _weakly_decreasing(n))
 
 
 def _refusal(check, *args) -> str:
@@ -436,8 +424,8 @@ def _check_lemma4_2(n: int, drawn: _Drawn) -> Iterator[str]:
 
 
 def _check_thm4_3(n: int, drawn: _Drawn) -> Iterator[str]:
-    """The generated tuples are checked against the parking-function filter over
-    all weakly decreasing tuples, which shares no code with the generator."""
+    """The staircase bound and the sorted-prefix test, which share no code, keep the
+    same weakly decreasing tuples (`_plain._is_lehmer`, `_plain._is_parking_function`)."""
     wd = list(drawn(_weakly_decreasing_staircase(n)))
     expected = catalan(n)
     if len(wd) != expected:

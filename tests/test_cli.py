@@ -269,11 +269,28 @@ def test_fiber_count_past_the_ceiling_is_refused_before_the_product(capsys, monk
     err = json.loads(run_cli(capsys, "fiber", "--count", base, expect=1).err)
     digits = math.floor((n - 3) * math.log10(2)) + 1
     assert err == {
-        "error": f"a fiber size of {digits} digits is past the ceiling of {cli._FIBER_MAX_DIGITS} "
-                 "digits of `fiber --count`, whose product of depths and decimal text take "
-                 "about a second there",
+        "error": f"digits = {digits} is past the ceiling digits <= {cli._FIBER_MAX_DIGITS} of "
+                 "`fiber --count`, whose product of depths and decimal text take about a "
+                 "second there",
         "code": "domain",
     }
+
+
+def test_fiber_count_prints_a_size_of_exactly_the_ceiling_digits(capsys, monkeypatch):
+    # all depths 2 outside F = {1, 2}: 2^(n - 3) has 31 digits for n = 103..105 and 32 at 106
+    monkeypatch.setattr(cli, "_FIBER_MAX_DIGITS", 31)
+    for n, digits in [(103, 31), (105, 31), (106, 32)]:
+        base = json.dumps({"n": n, "F": [1, 2], "L": [n - 1, n]})
+        assert len(str(2 ** (n - 3))) == digits
+        if digits <= 31:
+            assert run_cli(capsys, "fiber", "--count", base).out == f"{2 ** (n - 3)}\n"
+        else:
+            err = json.loads(run_cli(capsys, "fiber", "--count", base, expect=1).err)
+            assert err == {
+                "error": f"digits = 32 is past the ceiling digits <= 31 of `fiber --count`, "
+                         "whose product of depths and decimal text take about a second there",
+                "code": "domain",
+            }
 
 
 def test_module_runs_as_script():

@@ -22,6 +22,8 @@ from lehmerpark import (
     PrefTuple,
     SetPartition,
     SpacedParen,
+    fiber,
+    fiber_size,
     is_lehmer,
     outcome_to_partition,
     park,
@@ -162,6 +164,52 @@ def test_each_picture_arrives_before_the_next_line_is_sent(fmt):
         proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def _fiber(text: str) -> bytes:
+    return b"".join(_line({"outcome": list(oc.word)}) for oc in fiber(_paren(text)))
+
+
+# the library's reply to one base, all of its lines
+FIBERS = {
+    ("fiber",): _fiber,
+    ("fiber", "--count"): lambda text: _line(fiber_size(_paren(text))),
+}
+M = 6  # the nested base F = [1, M], L = [M + 1, 2M]: M! = 720 outcomes, about 25 KB of lines
+BASES = ["(_ (_ _ _) (_) _)", json.dumps({"n": 2 * M, "F": list(range(1, M + 1)),
+                                          "L": list(range(M + 1, 2 * M + 1))}), "(_)", "(_ _ _)"]
+
+
+@pytest.mark.parametrize("verb", list(FIBERS), ids=" ".join)
+def test_each_fiber_arrives_before_the_next_base_is_sent(verb):
+    # no -u and no PYTHONUNBUFFERED: a base's lines, several writes for the nested one,
+    # must all be flushed before the next read
+    proc = subprocess.Popen(_argv(*verb), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env(unbuffered=False), bufsize=0)
+    try:
+        for text in [*BASES, *BASES]:
+            lines = FIBERS[verb](text)
+            proc.stdin.write(text.encode() + b"\n")
+            assert _reply(proc, lines.count(b"\n")) == lines
+        proc.stdin.close()
+        assert proc.wait(timeout=REPLY_TIMEOUT_S) == 0
+        assert proc.stdout.read() == b"" and proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize("verb", list(FIBERS), ids=" ".join)
+def test_fiber_lines_before_a_bad_base_are_written_in_order_then_one_error(verb):
+    good = [BASES[0], BASES[2], BASES[3]] * 2000  # about 60 KB: the bad base comes many reads in
+    bad = '{"n":3,"F":[1],"L":[2]}'  # space 3 has depth 0
+    code, out, err = _pipe(verb, "".join(t + "\n" for t in [*good, bad, *BASES]).encode(),
+                           unbuffered=False)
+    assert code == 1
+    assert out == b"".join(map(FIBERS[verb], good))
+    assert err == _in_process_error(verb, bad)
 
 
 def _in_process_error(verb, text: str) -> bytes:

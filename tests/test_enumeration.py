@@ -225,7 +225,8 @@ def test_all_partial_diagrams_are_the_bell_many_rook_placements():
 
 
 def test_weakly_decreasing_staircase_tuples_are_the_filtered_multisets():
-    # generated directly, in the order of the filter over all C(2n - 1, n) multisets
+    # the staircase bound on all C(2n - 1, n) multisets, in their order, is written here
+    # again without `_plain._is_lehmer`
     for n in range(11):
         filtered = [
             prefs for prefs in itertools.combinations_with_replacement(range(n, 0, -1), n)

@@ -130,10 +130,22 @@ def test_counting_imports_only_errors_and_the_size_refusals_are_worded_there():
     assert absolute <= sys.stdlib_module_names
     worded_in = {
         path.name for path, _ in _parsed()
-        for phrase in ("must be nonnegative", "is past the ceiling n <=")
+        for phrase in ("must be nonnegative", "past the ceiling")
         if phrase in path.read_text()
     }
     assert worded_in == {"errors.py"}
+
+
+def test_the_cli_reads_its_input_lines_in_one_function():
+    # the verbs that take values share one read-write loop, so each read's replies are
+    # written and flushed together by every one of them
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    callers = {
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reads"
+    }
+    assert callers == {"_each_value"}
 
 
 def test_the_package_imports_form_no_cycle():

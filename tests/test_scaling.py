@@ -7,6 +7,8 @@ library maps, are held to it on the nested partition and its outcome, reading
 and writing included, the outcome in its text form and as a JSON object.
 `depth(sp, i)` is held to the same budget for 1,000 reads near the start of a
 parenthesization of 200,000 spaces: 1,000 sweeps over every space take about 27 s.
+The balance test on 10^8 spaces with no parenthesis stops at space 1, in the
+library and in `fiber`; a sweep over every space takes about 10 s.
 The first word of the outcome walk at n = 30,000 is held to it too.
 """
 
@@ -21,7 +23,7 @@ import pytest
 from lehmerpark.bijection import outcome_to_partition, partition_to_outcome, phi_prime
 from lehmerpark.cli import main
 from lehmerpark.counting import iter_outcome_words
-from lehmerpark.paren import SpacedParen, depth
+from lehmerpark.paren import SpacedParen, depth, is_balanced
 from lehmerpark.parking import PrefTuple, park
 from lehmerpark.setpartition import SetPartition, to_gbsp
 
@@ -126,6 +128,22 @@ def test_depth_near_the_start_stops_its_sweep():
     seconds = time.perf_counter() - start
     assert got == [1] * 1000
     assert seconds < BUDGET_S, f"1,000 calls of depth(sp, 1) took {seconds:.2f} s at n = {n}"
+
+
+def test_balance_stops_at_the_first_nonpositive_depth():
+    n = 10 ** 8
+    balanced, seconds = timed(is_balanced, SpacedParen(n, frozenset(), frozenset()))
+    assert balanced is False
+    assert seconds < BUDGET_S, f"is_balanced took {seconds:.2f} s at n = {n}"
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["fiber", json.dumps({"n": n, "F": [], "L": []})])
+    seconds = time.perf_counter() - start
+    assert (code, json.loads(err.getvalue())) == (
+        1, {"error": "fibers are defined only for balanced parenthesizations", "code": "domain"}
+    )
+    assert seconds < BUDGET_S, f"fiber took {seconds:.2f} s at n = {n}"
 
 
 def test_first_outcome_word_of_a_long_walk():
