@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from bisect import bisect, bisect_left, insort
+from bisect import bisect, bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 
@@ -84,8 +84,9 @@ def _inversion_table(word: tuple[int, ...]) -> tuple[int, ...]:
     seen: list[int] = []  # the values to the left, sorted
     entries = [0] * len(word)
     for value in word:
-        entries[value - 1] = len(seen) - bisect(seen, value)
-        insort(seen, value)
+        k = bisect(seen, value)
+        entries[value - 1] = len(seen) - k
+        seen.insert(k, value)
     return tuple(entries)
 
 

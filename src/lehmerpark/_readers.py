@@ -6,7 +6,9 @@ with the map that writes the line's JSON object.  `_paren_parts` reads every
 parenthesization line, for `from-gbsp`, `fiber` and `render paren`: a JSON
 object with a "g" key first goes through a one-pass acceptance test on the
 decoded value, and what it does not accept goes to the format's checks in
-`_plain`, which alone word the errors.  Of the package it imports only `_plain`
+`_plain`, which alone word the errors.  `to-partition` and `from-partition` run
+one sweep each over the spaces, where the library chains two legs of `_plain`;
+those legs are the sweeps' oracle.  Of the package it imports only `_plain`
 and `errors`, and so no object module; `cli` imports it inside the handlers of
 the verbs that read lines (transform, check, fiber, render), once per process.
 """
@@ -14,6 +16,7 @@ the verbs that read lines (transform, check, fiber, render), once per process.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 
 from . import _plain
 from .errors import _INT, ParseError, _distinct, _json_array
@@ -182,20 +185,68 @@ def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
 
 
 def _outcome_to_partition(word: tuple[int, ...]) -> dict:
-    return _plain._blocks_obj(_plain._from_gbsp(len(word), *_plain._phi_prime(word)))
+    """`_from_gbsp` of `_phi_prime` in one sweep over the spaces: the g(i) that
+    `_phi_prime` would record is at once the rank of the open block that i joins."""
+    n = len(word)
+    col = [0] * (n + 1)  # col[v]: the column of value v
+    for c, v in enumerate(word, start=1):
+        col[v] = c
+    blocks: list[list[int]] = []
+    opened: list[list[int]] = []  # open blocks, by minimum
+    empty: list[int] = []  # as in `_phi_prime`: ascending, as long as `opened`
+    for i in range(1, n + 1):
+        c = col[n - i + 1]
+        if c >= i:  # a peak: i is in F
+            k = len(opened)
+            opened.append([i])
+            blocks.append(opened[k])
+        else:
+            k = bisect_left(empty, c)
+            del empty[k]
+            opened[k].append(i)
+        if word[i - 1] >= n - i + 1:  # i is in L
+            del opened[k]
+        else:
+            empty.append(i)
+    return {"blocks": blocks}
 
 
 def _partition_to_outcome(partition) -> dict:
+    """`_phi_prime_inv` of `_to_gbsp` in one sweep over the spaces: the rank of
+    i's block among the open ones picks the empty column of row n - i + 1."""
     n, blocks = partition
-    word = _plain._phi_prime_inv(n, *_plain._to_gbsp(n, blocks))
-    return {"outcome": list(_plain._as_outcome(word))}
+    first = [0] * (n + 1)  # first[x]: the minimum of x's block
+    last = [False] * (n + 1)  # last[x]: x ends its block
+    for blk in blocks:
+        for x in blk:
+            first[x] = blk[0]
+        last[blk[-1]] = True
+    word = [0] * (n + 1)
+    minima: list[int] = []  # minima of the open blocks, ascending
+    parens: list[int] = []  # spaces in F whose paren is still open
+    empty: list[int] = []  # as in `_phi_prime_inv`: as long as `minima`
+    for i in range(1, n + 1):
+        if first[i] == i:
+            k = len(minima)
+            minima.append(i)
+            parens.append(i)
+        else:
+            k = bisect_left(minima, first[i])
+            word[empty.pop(k)] = n - i + 1
+        if last[i]:
+            del minima[k]
+            word[i] = n - parens.pop() + 1
+        else:
+            empty.append(i)
+    return {"outcome": list(_plain._as_outcome(word[1:]))}
 
 
 # each transform verb reads one value per input, checked, and maps it to one JSON
 # line.  `park` and the two `invtable` legs check what they write as the constructor
 # of their output would, and a leg whose output is an outcome certifies it.  `phi`,
-# `to-gbsp` and `to-partition` write unchecked: their input is a certified outcome,
-# and `verify lemma3.12`, `lemma3.16` and `thm3.1` pin their legs on every outcome.
+# `to-gbsp` and `to-partition` write unchecked: their input is a certified outcome.
+# `verify lemma3.12` and `lemma3.16` pin the legs of `phi` and `to-gbsp` on every
+# outcome, and the tests pin `to-partition`'s sweep to the composed legs.
 _TRANSFORMS = {
     "park": (_read_prefs, _parked),
     "to-table": (

@@ -10,7 +10,8 @@ takes the g(i)-th of the depth(i) empty columns j < i, and column i stays
 empty unless i is in L.  Composing with the partition maps gives the
 bijection outcomes <-> set partitions.  The sweeps live in `_plain` and run on
 plain (F, L, g), g aligned to spaces; the maps here wrap them in the checked
-dataclasses, and the composite maps chain the sweeps with no GBsp in between.
+dataclasses.  The composite maps chain the sweeps with no GBsp in between, as the
+paper defines them, and are the oracle of the CLI's one-sweep partition verbs.
 """
 
 from __future__ import annotations

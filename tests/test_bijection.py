@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lehmerpark import _plain, _readers
 from lehmerpark.armleg import arms_legs, peaks
 from lehmerpark.bijection import (
     OutcomePermutation,
@@ -167,6 +168,48 @@ def test_composites_equal_the_composed_legs():
             assert outcome_to_partition(oc) == from_gbsp(phi_prime(oc)), oc.word
         for b in enumerate_partitions(n):
             assert partition_to_outcome(b) == phi_prime_inv(to_gbsp(b)), b
+
+
+def shallow_partition(n, rng):
+    """Each element opens a block or joins one of the three newest blocks."""
+    blocks = []
+    for x in range(1, n + 1):
+        if not blocks or rng.random() < 0.3:
+            blocks.append([x])
+        else:
+            blocks[rng.randrange(max(0, len(blocks) - 3), len(blocks))].append(x)
+    return SetPartition(n, tuple(map(tuple, blocks)))
+
+
+def deep_partition(n, rng):
+    """The first n/2 elements each open a block, and the rest close them in a random order."""
+    m = n // 2
+    closers = list(range(m + 1, n + 1))
+    rng.shuffle(closers)
+    return SetPartition(n, tuple((i, closers[i - 1]) for i in range(1, m + 1)))
+
+
+def nested_partition(n):
+    return SetPartition(n, tuple((i, n + 1 - i) for i in range(1, n // 2 + 1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shallow_partition(2000, random.Random(1)),
+    lambda: shallow_partition(2000, random.Random(2)),
+    lambda: deep_partition(2000, random.Random(1)),
+    lambda: deep_partition(2000, random.Random(2)),
+    lambda: nested_partition(10 ** 5),
+], ids=["shallow-1", "shallow-2", "deep-1", "deep-2", "nested"])
+def test_the_fused_sweeps_equal_the_composed_legs_at_large_n(make):
+    # the CLI's one sweep per direction against the library's two legs, which are its oracle
+    b = make()
+    oc = partition_to_outcome(b)
+    word = _readers._partition_to_outcome((b.n, b.blocks))["outcome"]
+    assert word == list(oc.word)
+    assert _plain._as_outcome(word) == oc.word
+    blocks = _readers._outcome_to_partition(oc.word)["blocks"]
+    assert blocks == [list(blk) for blk in outcome_to_partition(oc).blocks]
+    assert _plain._check_blocks(b.n, blocks) == b.blocks
 
 
 def test_outcomes_are_exactly_parkable_images():

@@ -339,6 +339,25 @@ def test_valid_pipeline_lines_take_the_one_pass_readers(capsys, monkeypatch, n):
     assert run_cli(capsys, "from-gbsp", stdin=gbsps, monkeypatch=monkeypatch).out == outcomes
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_partition_verbs_take_the_fused_sweeps(capsys, monkeypatch, n):
+    # `to-partition` and `from-partition` run one sweep each, never the two legs that
+    # `phi`, `to-gbsp`, `from-gbsp` and `verify` run: a silent fall back would pass every other test
+    outcomes = run_cli(capsys, "enumerate", "outcomes", "--n", str(n)).out
+    partitions = run_cli(capsys, "enumerate", "partitions", "--n", str(n)).out
+    inputs = {"to-partition": outcomes, "from-partition": partitions}
+    expected = {verb: run_cli(capsys, verb, stdin=lines, monkeypatch=monkeypatch).out
+                for verb, lines in inputs.items()}
+
+    def unreachable(*args):
+        raise AssertionError("a partition verb ran a leg of the bijection")
+
+    for name in ("_phi_prime", "_from_gbsp", "_to_gbsp", "_phi_prime_inv"):
+        monkeypatch.setattr(_plain, name, unreachable)
+    for verb, lines in inputs.items():
+        assert run_cli(capsys, verb, stdin=lines, monkeypatch=monkeypatch).out == expected[verb]
+
+
 def test_verify_pass(capsys):
     captured = run_cli(capsys, "verify", "thm2.4", "--n-max", "4")
     report = json.loads(captured.out)

@@ -158,7 +158,7 @@ def test_from_inversion_table_known_values():
     assert from_inversion_table(InversionTable((0,) * 5)) == identity(5)
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_inversion_table_roundtrip_exhaustive(n):
     """Both composites are the identity, and the table always matches the oracle."""
     for word in itertools.permutations(range(1, n + 1)):
