@@ -5,10 +5,11 @@ format turn it into checked plain values, and each table entry pairs a reader
 with the map that writes the line's JSON object.  `_paren_parts` reads every
 parenthesization line, for `from-gbsp`, `fiber` and `render paren`: a JSON
 object with a "g" key first goes through a one-pass acceptance test on the
-decoded value, and what it does not accept goes to the format's checks in
-`_plain`, which alone word the errors.  `to-partition` and `from-partition` run
-one sweep each over the spaces, where the library chains two legs of `_plain`;
-those legs are the sweeps' oracle.  Of the package it imports only `_plain`
+decoded value, and so does a partition's JSON object in `_read_partition`; what
+they do not accept goes to the format's checks in `_plain`, which alone word
+the errors.  `to-gbsp`, `to-partition` and `from-partition` run one sweep each
+over the spaces, where the library chains two legs of `_plain`; those legs are
+the sweeps' oracle.  Of the package it imports only `_plain`
 and `errors`, and so no object module; `cli` imports it inside the handlers of
 the verbs that read lines (transform, check, fiber, render), once per process.
 """
@@ -150,14 +151,46 @@ def _read_gbsp(text: str) -> tuple[int, frozenset[int], frozenset[int], list[int
     return n, F, L, _plain._check_g(n, F, L, {}) if g is None else g
 
 
-def _read_partition(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """n and the sorted blocks of a partition, checked as `SetPartition` checks them."""
+def _read_partition(text: str) -> tuple[int, list | tuple]:
+    """n and the sorted blocks of a partition, checked as `SetPartition` checks them.
+    A JSON object goes through `_blocks_in_one_pass` first, which keeps the decoded
+    lists, and only what it does not accept through the checks, which word the error."""
     text = text.strip()
     if text.startswith("{") and not text.startswith("{{") and '"' in text:
-        n, blocks = _plain._blocks_json(_loads(text))
+        obj = _loads(text)
+        if parts := _blocks_in_one_pass(obj):
+            return parts
+        n, blocks = _plain._blocks_json(obj)
     else:
         n, blocks = _plain._parse_blocks(text)
     return n, _plain._check_blocks(n, blocks)
+
+
+def _blocks_in_one_pass(obj: dict) -> tuple[int, list[list[int]]] | None:
+    """(n, blocks) of a partition's decoded JSON object, or None: one scan checks
+    that each block is nonempty, starts above the last block's minimum, and holds
+    integers that ascend within [1, n] and are new.  It accepts exactly the objects
+    that `_blocks_json` and `_check_blocks` accept whose blocks are already sorted;
+    on None, they word the error.  n new members in [1, n] are all of [1, n]."""
+    blocks = obj.get("blocks")
+    if type(blocks) is not list or not set(map(type, blocks)) <= {list}:
+        return None
+    n = sum(map(len, blocks))
+    if "n" in obj and (type(obj["n"]) is not int or obj["n"] != n):
+        return None
+    seen = [False] * (n + 1)
+    low = 0  # the last block's minimum
+    for blk in blocks:
+        if not blk:
+            return None
+        prev = low
+        for x in blk:
+            if type(x) is not int or not prev < x <= n or seen[x]:
+                return None
+            seen[x] = True
+            prev = x
+        low = blk[0]
+    return n, blocks
 
 
 def _read_armleg(text: str) -> tuple[int, ...]:
@@ -181,7 +214,28 @@ def _parked(prefs: tuple[int, ...]) -> dict:
 
 
 def _outcome_to_gbsp(word: tuple[int, ...]) -> dict:
-    return _plain._gbsp_obj(len(word), *_plain._phi_prime(word))
+    """`_gbsp_obj` of `_phi_prime` in one sweep over the spaces: the space loop of
+    `_outcome_to_partition`, writing F, L and g in space order."""
+    n = len(word)
+    col = [0] * (n + 1)  # col[v]: the column of value v
+    for c, v in enumerate(word, start=1):
+        col[v] = c
+    F, L = [], []  # the spaces in F and in L, ascending
+    g: dict[str, int] = {}
+    empty: list[int] = []  # as in `_phi_prime`
+    for i in range(1, n + 1):
+        c = col[n - i + 1]
+        if c >= i:  # a peak: i is in F
+            F.append(i)
+        else:
+            k = bisect_left(empty, c)
+            del empty[k]
+            g[str(i)] = k + 1
+        if word[i - 1] >= n - i + 1:  # i is in L
+            L.append(i)
+        else:
+            empty.append(i)
+    return {"n": n, "F": F, "L": L, "g": g}
 
 
 def _outcome_to_partition(word: tuple[int, ...]) -> dict:
@@ -245,8 +299,9 @@ def _partition_to_outcome(partition) -> dict:
 # line.  `park` and the two `invtable` legs check what they write as the constructor
 # of their output would, and a leg whose output is an outcome certifies it.  `phi`,
 # `to-gbsp` and `to-partition` write unchecked: their input is a certified outcome.
-# `verify lemma3.12` and `lemma3.16` pin the legs of `phi` and `to-gbsp` on every
-# outcome, and the tests pin `to-partition`'s sweep to the composed legs.
+# `verify lemma3.12` pins the legs `_phi_prime` and `_phi_prime_inv` on every outcome,
+# and the tests pin `to-gbsp`'s sweep to `_gbsp_obj` of `_phi_prime` and the partition
+# sweeps to the composed legs.
 _TRANSFORMS = {
     "park": (_read_prefs, _parked),
     "to-table": (

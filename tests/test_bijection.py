@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -210,6 +211,10 @@ def test_the_fused_sweeps_equal_the_composed_legs_at_large_n(make):
     blocks = _readers._outcome_to_partition(oc.word)["blocks"]
     assert blocks == [list(blk) for blk in outcome_to_partition(oc).blocks]
     assert _plain._check_blocks(b.n, blocks) == b.blocks
+    assert _readers._outcome_to_gbsp(oc.word) == phi_prime(oc).to_json_obj()
+    # the one-scan acceptance keeps the decoded lists; the check returns tuples
+    n, read = _readers._read_partition(json.dumps({"blocks": blocks}))
+    assert (n, tuple(map(tuple, read))) == (b.n, _plain._check_blocks(b.n, blocks))
 
 
 def test_outcomes_are_exactly_parkable_images():

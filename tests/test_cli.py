@@ -321,20 +321,25 @@ def test_gbsp_pipeline_is_identity(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", range(7))
 def test_valid_pipeline_lines_take_the_one_pass_readers(capsys, monkeypatch, n):
-    # a valid line goes through `_gbsp_in_one_pass` or `_read_outcome`'s shortcut, never
-    # through the checks that word a refusal: a silent fall back would pass every other test
+    # a valid line goes through `_read_outcome`'s shortcut, `_gbsp_in_one_pass` or
+    # `_blocks_in_one_pass`, never through the checks that word a refusal, and `to-gbsp`
+    # runs its one sweep, never the two legs: a silent fall back would pass every other test
     outcomes = run_cli(capsys, "enumerate", "outcomes", "--n", str(n)).out
-    expected = {verb: run_cli(capsys, verb, stdin=outcomes, monkeypatch=monkeypatch).out
-                for verb in ("to-gbsp", "to-partition")}
+    partitions = run_cli(capsys, "enumerate", "partitions", "--n", str(n)).out
+    inputs = {"to-gbsp": outcomes, "to-partition": outcomes, "from-partition": partitions}
+    expected = {verb: run_cli(capsys, verb, stdin=lines, monkeypatch=monkeypatch).out
+                for verb, lines in inputs.items()}
 
     def unreachable(*args):
-        raise AssertionError("a valid line reached a check that words refusals")
+        raise AssertionError("a valid line reached a check that words refusals or a leg")
 
     for module, name in ((_plain, "_check_g"), (_plain, "_check_paren"), (_plain, "_g_json"),
-                         (_plain, "_int_pairs"), (_readers, "_json_word")):
+                         (_plain, "_int_pairs"), (_readers, "_json_word"),
+                         (_plain, "_phi_prime"), (_plain, "_gbsp_obj"),
+                         (_plain, "_blocks_json"), (_plain, "_check_blocks")):
         monkeypatch.setattr(module, name, unreachable)
-    for verb, lines in expected.items():
-        assert run_cli(capsys, verb, stdin=outcomes, monkeypatch=monkeypatch).out == lines
+    for verb, lines in inputs.items():
+        assert run_cli(capsys, verb, stdin=lines, monkeypatch=monkeypatch).out == expected[verb]
     gbsps = expected["to-gbsp"]
     assert run_cli(capsys, "from-gbsp", stdin=gbsps, monkeypatch=monkeypatch).out == outcomes
 

@@ -281,6 +281,18 @@ def _line(obj):
 @example(verb=("from-gbsp",), value='{"n":3,"F":[1],"L":[3],"g":{"2":0,"3":1}}')
 @example(verb=("from-gbsp",), value='{"n":3,"F":[1],"L":[3],"g":{"2":1,"3":2}}')
 @example(verb=("from-gbsp",), value='{"n":3,"F":[1,3],"L":[2,4],"g":{"2":1}}')
+# partition lines at the edge of the one-scan acceptance: blocks out of sorted form
+# fall back to the check and succeed; a repeat, 0, an empty block, true, a gap, a
+# true n and a wrong n are refused with the check's error
+@example(verb=("from-partition",), value='{"blocks":[[2],[1]]}')
+@example(verb=("from-partition",), value='{"blocks":[[3,1],[2]]}')
+@example(verb=("from-partition",), value='{"blocks":[[1],[1]]}')
+@example(verb=("from-partition",), value='{"blocks":[[0,1]]}')
+@example(verb=("from-partition",), value='{"blocks":[[1],[]]}')
+@example(verb=("from-partition",), value='{"blocks":[[1,true]]}')
+@example(verb=("from-partition",), value='{"blocks":[[1,3]]}')
+@example(verb=("from-partition",), value='{"n":true,"blocks":[[1]]}')
+@example(verb=("from-partition",), value='{"n":2,"blocks":[[1]]}')
 def test_roundtrip_verbs_equal_the_checked_library_path(verb, value):
     try:
         expected = (0, _checked(verb, value), "")
